@@ -1,7 +1,7 @@
-"""Fault-tolerance benchmark: journal overhead, recovery replay, ladder cost.
+"""Fault-tolerance benchmark: journal overhead and recovery replay.
 
-The robustness PR adds three moving parts that could each tax the happy
-path; this bench records the numbers that keep them honest:
+Crash safety adds moving parts that could each tax the happy path;
+this bench records the numbers that keep them honest:
 
 * **journal overhead ratio** — wall clock of one wire-driven tenant run
   with the write-ahead journal on (group-commit ``fsync_every=8``) over
@@ -13,10 +13,6 @@ path; this bench records the numbers that keep them honest:
   original run's wall.  Replay re-applies the accepted records (flushes
   re-execute), so the ratio should hover near the journaled fraction of
   the run, not above it.
-* **degraded-vs-clean wall** — one sharded flush under a
-  ``pool_crash``-every-time plan (the ladder walks to sequential) over
-  the clean pooled flush, with the bit-identity of the two results
-  recorded as ``results_identical`` — the whole point of the ladder.
 
 ``REPRO_BENCH_SMOKE=1`` keeps the run error-only and leaves the tracked
 ``BENCH_faults.json`` untouched (``REPRO_BENCH_JSON_DIR`` collects the
@@ -34,7 +30,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import emit_table
@@ -48,15 +43,9 @@ from repro.api.wire import (
     SubmitTask,
     SubmitWorker,
 )
-from repro.core.registry import make_solver
 from repro.datasets.synthetic import NormalGenerator
-from repro.datasets.workload import Task, Worker
-from repro.faults import FaultPlan
 from repro.service import DispatchService, ServiceConfig, TenantJournal
-from repro.simulation.instance import ProblemInstance
-from repro.spatial.geometry import Point
 from repro.stream.arrivals import PoissonProcess, StreamWorkload, TaskArrival
-from repro.stream.shards import ShardSeedSchedule, ShardedFlushExecutor
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
@@ -220,63 +209,6 @@ def fault_rows():
         }
     )
 
-    # 3. Degraded vs clean flush: the ladder's latency price, and the
-    # bit-identity it buys.
-    rng = np.random.default_rng(0)
-    tasks, workers = [], []
-    for cluster in range(4):
-        cx = 100.0 * cluster
-        for _ in range(24 if _smoke() else 60):
-            x, y = rng.uniform(-2.0, 2.0, size=2)
-            tasks.append(Task(id=len(tasks), location=Point(cx + x, y), value=4.5))
-        for _ in range(12 if _smoke() else 30):
-            x, y = rng.uniform(-2.0, 2.0, size=2)
-            workers.append(
-                Worker(id=1000 + len(workers), location=Point(cx + x, y), radius=6.0)
-            )
-    instance = ProblemInstance.build(tasks, workers, seed=0)
-    schedule = ShardSeedSchedule(base=(3, 0, 7))
-
-    def ladder_run(fault_plan):
-        walls, outcome = [], None
-        for _ in range(runs):
-            with ShardedFlushExecutor(
-                make_solver("PUCE"),
-                num_shards=4,
-                parallel="process",
-                min_shard_pairs=0,
-                fault_plan=fault_plan,
-            ) as executor:
-                started = time.perf_counter()
-                result = executor.solve(instance, schedule)
-                walls.append(time.perf_counter() - started)
-                outcome = (
-                    dict(result.matching),
-                    list(result.ledger.events()),
-                    executor.last_degraded,
-                )
-        return statistics.median(walls), outcome
-
-    clean_flush, (clean_matching, clean_events, clean_chain) = ladder_run(None)
-    degraded_flush, (matching, events, chain) = ladder_run(
-        FaultPlan(seed=1, rates={"pool_crash": 1.0})
-    )
-    rows.append(
-        {
-            "metric": "degraded",
-            "pairs": instance.num_feasible_pairs,
-            "clean_wall_seconds": clean_flush,
-            "degraded_wall_seconds": degraded_flush,
-            "degraded_over_clean": degraded_flush / clean_flush,
-            "degradation_chain": chain,
-            "results_identical": (
-                matching == clean_matching
-                and events == clean_events
-                and clean_chain is None
-            ),
-        }
-    )
-
     return {"runs": runs, "rows": rows}
 
 
@@ -285,7 +217,6 @@ def test_faults_baseline(fault_rows):
     rows = fault_rows["rows"]
     journal = next(r for r in rows if r["metric"] == "journal")
     recovery = next(r for r in rows if r["metric"] == "recovery")
-    degraded = next(r for r in rows if r["metric"] == "degraded")
     lines = [
         "metric     clean        faulted      ratio",
         f"journal    {journal['clean_wall_seconds']:>8.3f}s    "
@@ -296,11 +227,6 @@ def test_faults_baseline(fault_rows):
         f"recovery   {recovery['replay_seconds']:>8.3f}s replay of "
         f"{recovery['entries_replayed']} entries  "
         f"({recovery['replay_ratio']:>5.2f}x of the journaled wall)",
-        f"degraded   {degraded['clean_wall_seconds']:>8.3f}s    "
-        f"{degraded['degraded_wall_seconds']:>8.3f}s    "
-        f"{degraded['degraded_over_clean']:>5.2f}x  "
-        f"(chain {degraded['degradation_chain']}, identical="
-        f"{degraded['results_identical']})",
     ]
     if not _smoke():
         emit_table("faults", "\n".join(lines))
@@ -314,5 +240,3 @@ def test_faults_baseline(fault_rows):
     assert journal["overhead_ratio"] <= JOURNAL_OVERHEAD_LIMIT, journal
     assert recovery["finished_after_recovery"], recovery
     assert recovery["entries_replayed"] > 0, recovery
-    assert degraded["results_identical"], degraded
-    assert degraded["degradation_chain"], degraded

@@ -2,20 +2,9 @@
 
 Runs the Poisson scenario through the streaming stack (arrivals ->
 micro-batcher -> solver -> duty cycles) for a private and a non-private
-method in three flush-execution modes and records the numbers later PRs
-must beat:
-
-* ``sequential`` — the classic single-engine flush solve,
-* ``sharded`` — the conflict-free shard cut, solved shard by shard,
-* ``parallel`` — the same cut, shard groups on a process pool
-  (``REPRO_BENCH_SHARDS`` execution slots, default 4).
-
-Sharded and parallel rows are bit-identical in assignments and privacy
-spend by construction (the per-shard seed schedule); the bench asserts
-it.  Their *throughput* relation is hardware-dependent: the parallel row
-only pulls ahead of sequential on multi-core machines with decomposable
-flushes — on a single core the pool is pure overhead, and the recorded
-numbers say so honestly.
+method and records the numbers later PRs must beat (the ``sequential``
+rows: every flush cut into conflict-free units, solved in-process), plus
+the duty-cycle flush-cache rows.
 
 Besides the usual ``benchmarks/results`` table, the measured series is
 written to ``BENCH_stream.json`` at the repository root so the perf
@@ -48,8 +37,8 @@ DUTY_SPEC = Path(__file__).resolve().parent.parent / "examples" / "scenario_duty
 
 HORIZON = 3.0
 METHODS = ("PUCE", "UCE")
-#: The classic Poisson throughput modes (duty-cycle rows ride separately).
-POISSON_MODES = ("sequential", "sharded", "parallel")
+#: The Poisson throughput rows' mode label (duty-cycle rows ride separately).
+POISSON_MODE = "sequential"
 
 
 def _smoke() -> bool:
@@ -60,25 +49,12 @@ def _duty_runs() -> int:
     return int(os.environ.get("REPRO_BENCH_RUNS", "1" if _smoke() else "7"))
 
 
-def _bench_shards() -> int:
-    return int(os.environ.get("REPRO_BENCH_SHARDS", "4"))
-
-
 def _json_target() -> Path | None:
     """Where to write the fresh JSON; ``None`` = nowhere (plain smoke)."""
     out = os.environ.get("REPRO_BENCH_JSON_DIR")
     if out:
         return Path(out) / "BENCH_stream.json"
     return None if _smoke() else BENCH_JSON
-
-
-def _modes() -> tuple[tuple[str, dict], ...]:
-    shards = _bench_shards()
-    return (
-        ("sequential", {}),
-        ("sharded", {"shards": shards}),
-        ("parallel", {"shards": shards, "parallel": "process"}),
-    )
 
 
 def _workload(num_tasks: int, seed: int) -> StreamWorkload:
@@ -93,10 +69,8 @@ def _workload(num_tasks: int, seed: int) -> StreamWorkload:
     )
 
 
-def _config(num_tasks: int, mode_kwargs: dict) -> StreamConfig:
-    return StreamConfig(
-        max_batch_size=max(num_tasks // 4, 10), max_wait=0.2, **mode_kwargs
-    )
+def _config(num_tasks: int) -> StreamConfig:
+    return StreamConfig(max_batch_size=max(num_tasks // 4, 10), max_wait=0.2)
 
 
 @pytest.fixture(scope="module")
@@ -106,44 +80,42 @@ def stream_rows():
     workload = _workload(num_tasks, seed)
     events = workload.events(seed=seed)
     rows = []
-    for mode, mode_kwargs in _modes():
-        config = _config(num_tasks, mode_kwargs)
-        for method in METHODS:
-            runner = StreamRunner([method], config=config)
-            started = time.perf_counter()
-            report = runner.run(events, seed=seed)
-            wall = time.perf_counter() - started
-            stats = report[method]
-            rows.append(
-                {
-                    "method": method,
-                    "mode": mode,
-                    "arrived": stats.arrived_tasks,
-                    "assigned": stats.assigned,
-                    "expired": stats.expired,
-                    "flushes": len(stats.flushes),
-                    "mean_shards": (
-                        sum(f.shards for f in stats.flushes) / len(stats.flushes)
-                        if stats.flushes
-                        else 0.0
-                    ),
-                    "wall_seconds": wall,
-                    "solver_seconds": stats.solver_seconds,
-                    "tasks_per_sec": stats.throughput_tasks_per_sec,
-                    "latency_p50": stats.latency_p50,
-                    "latency_p95": stats.latency_p95,
-                    "privacy_spend": stats.total_privacy_spend,
-                    "cache": config.cache,
-                    "workspace": config.workspace,
-                    "cache_hit_rate": stats.cache_hit_rate,
-                }
-            )
+    config = _config(num_tasks)
+    for method in METHODS:
+        runner = StreamRunner([method], config=config)
+        started = time.perf_counter()
+        report = runner.run(events, seed=seed)
+        wall = time.perf_counter() - started
+        stats = report[method]
+        rows.append(
+            {
+                "method": method,
+                "mode": POISSON_MODE,
+                "arrived": stats.arrived_tasks,
+                "assigned": stats.assigned,
+                "expired": stats.expired,
+                "flushes": len(stats.flushes),
+                "mean_shards": (
+                    sum(f.shards for f in stats.flushes) / len(stats.flushes)
+                    if stats.flushes
+                    else 0.0
+                ),
+                "wall_seconds": wall,
+                "solver_seconds": stats.solver_seconds,
+                "tasks_per_sec": stats.throughput_tasks_per_sec,
+                "latency_p50": stats.latency_p50,
+                "latency_p95": stats.latency_p95,
+                "privacy_spend": stats.total_privacy_spend,
+                "cache": config.cache,
+                "workspace": config.workspace,
+                "cache_hit_rate": stats.cache_hit_rate,
+            }
+        )
     rows.extend(_duty_cycle_rows())
     return {
         "num_tasks": num_tasks,
         "seed": seed,
         "horizon": HORIZON,
-        "shards": _bench_shards(),
         "duty_runs": _duty_runs(),
         "rows": rows,
     }
@@ -204,7 +176,7 @@ def test_stream_throughput_baseline(benchmark, stream_rows):
     seed = stream_rows["seed"]
     workload = _workload(num_tasks, seed)
     events = workload.events(seed=seed)
-    config = _config(num_tasks, {})
+    config = _config(num_tasks)
 
     benchmark.pedantic(
         lambda: StreamRunner(["PUCE"], config=config).run(events, seed=seed),
@@ -234,7 +206,7 @@ def test_stream_throughput_baseline(benchmark, stream_rows):
         assert row["arrived"] > 0
         assert row["assigned"] > 0, row
         assert row["tasks_per_sec"] > 0
-        if row["mode"] in POISSON_MODES:
+        if row["mode"] == POISSON_MODE:
             # Latency percentiles are ordered and within the deadline.
             assert 0.0 <= row["latency_p50"] <= row["latency_p95"] <= 1.0 + 1e-9
 
@@ -248,14 +220,6 @@ def test_stream_throughput_baseline(benchmark, stream_rows):
         # must buy >=1.3x wall-clock on the duty-cycle micro-flush
         # workload.  (Smoke runs once at reduced scale and skips it.)
         assert cached_row["wall_speedup_vs_uncached"] >= 1.3, cached_row
-    for method in METHODS:
-        # Sharded and parallel execute the same per-shard seed schedule,
-        # so their outcomes must agree exactly.
-        sharded = by_key[(method, "sharded")]
-        parallel = by_key[(method, "parallel")]
-        for field in ("assigned", "expired", "flushes", "privacy_spend"):
-            assert sharded[field] == parallel[field], (method, field)
     # The non-private counterpart never spends budget; the private one does.
-    for mode in ("sequential", "sharded"):
-        assert by_key[("UCE", mode)]["privacy_spend"] == 0.0
-        assert by_key[("PUCE", mode)]["privacy_spend"] > 0.0
+    assert by_key[("UCE", POISSON_MODE)]["privacy_spend"] == 0.0
+    assert by_key[("PUCE", POISSON_MODE)]["privacy_spend"] > 0.0

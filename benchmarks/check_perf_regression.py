@@ -2,12 +2,11 @@
 
 CI runs ``bench_engine_core.py``, ``bench_stream_throughput.py``,
 ``bench_flush_overhead.py``, ``bench_obs_overhead.py``,
-``bench_shard_transport.py``, ``bench_service.py``,
-``bench_horizon.py`` and ``bench_faults.py`` in smoke mode with
-``REPRO_BENCH_JSON_DIR`` pointing at a scratch directory, then invokes
-this script to compare the fresh measurements against the *committed*
-``BENCH_core.json`` / ``BENCH_stream.json`` / ``BENCH_flush.json`` /
-``BENCH_obs.json`` / ``BENCH_shards.json`` / ``BENCH_service.json`` /
+``bench_service.py``, ``bench_horizon.py`` and ``bench_faults.py`` in
+smoke mode with ``REPRO_BENCH_JSON_DIR`` pointing at a fresh
+directory, then invokes this script to compare the fresh measurements
+against the *committed* ``BENCH_core.json`` / ``BENCH_stream.json`` /
+``BENCH_flush.json`` / ``BENCH_obs.json`` / ``BENCH_service.json`` /
 ``BENCH_horizon.json`` / ``BENCH_faults.json`` at the repository root.
 
 The comparison is deliberately generous — a ``--floor`` of 3.0 means a
@@ -168,59 +167,6 @@ def check_obs(committed: dict, fresh: dict, floor: float, lines: list[str]) -> b
     return all_ok
 
 
-def check_shards(committed: dict, fresh: dict, floor: float, lines: list[str]) -> bool:
-    """Shard transport speedups and cost-model calibration error.
-
-    The handoff (shm vs pickle) and pool (warm vs churn) speedups are
-    dimensionless ratios, compared like the flush speedups.  Calibration
-    error is a *lower-is-better* geomean ratio, so the fresh value must
-    stay under the committed one times the floor — a blown-up error
-    means the planner is flying blind even if walls still look fine.
-    """
-    def speedups(data: dict) -> dict[str, float]:
-        return {
-            row["metric"]: row["speedup"]
-            for row in data["rows"]
-            if "speedup" in row
-        }
-
-    baseline = speedups(committed)
-    all_ok = True
-    compared = 0
-    for metric, fresh_speedup in speedups(fresh).items():
-        if metric not in baseline:
-            continue
-        compared += 1
-        ok = fresh_speedup >= baseline[metric] / floor
-        all_ok &= ok
-        lines.append(
-            f"shards {metric:<12} speedup: fresh {fresh_speedup:>6.2f}x  "
-            f"committed {baseline[metric]:>6.2f}x  floor "
-            f"{baseline[metric] / floor:>6.2f}x  {'ok' if ok else 'REGRESSION'}"
-        )
-    calibration = {
-        row["scenario"]: row["geomean_error"]
-        for row in committed["rows"]
-        if row.get("metric") == "calibration"
-    }
-    for row in fresh["rows"]:
-        if row.get("metric") != "calibration" or row["scenario"] not in calibration:
-            continue
-        compared += 1
-        base = calibration[row["scenario"]]
-        ok = row["geomean_error"] <= base * floor
-        all_ok &= ok
-        lines.append(
-            f"shards calibration  {row['scenario']:<20} geomean error: "
-            f"fresh {row['geomean_error']:>5.2f}x  committed {base:>5.2f}x  "
-            f"ceiling {base * floor:>5.2f}x  {'ok' if ok else 'REGRESSION'}"
-        )
-    if compared == 0:
-        lines.append("shards: no comparable rows — REGRESSION")
-        return False
-    return all_ok
-
-
 def check_service(committed: dict, fresh: dict, floor: float, lines: list[str]) -> bool:
     """Multi-tenant service throughput, plus its functional smoke bits.
 
@@ -311,18 +257,14 @@ def check_horizon(committed: dict, fresh: dict, floor: float, lines: list[str]) 
 
 
 def check_faults(committed: dict, fresh: dict, floor: float, lines: list[str]) -> bool:
-    """Journal overhead, recovery liveness, and ladder bit-identity.
+    """Journal overhead and recovery liveness.
 
     The journal overhead ratio carries its own **absolute** limit
     (``overhead_limit``, 1.25x per the acceptance criteria) — crash
     safety is a standing tax on every journaled request, so it does not
-    get the noise floor the other walls do.  The degraded-flush ratio
-    is latency the ladder deliberately spends and gates only against
-    drift (committed times floor); ``results_identical`` is the
-    functional bit that must never flip.
+    get the noise floor the other walls do.
     """
     journal_base = next(r for r in committed["rows"] if r["metric"] == "journal")
-    degraded_base = next(r for r in committed["rows"] if r["metric"] == "degraded")
     all_ok = True
     compared = 0
     for row in fresh["rows"]:
@@ -345,19 +287,6 @@ def check_faults(committed: dict, fresh: dict, floor: float, lines: list[str]) -
                 f"faults recovery     replayed {row['entries_replayed']:>4} "
                 f"entries in {row['replay_seconds']:.3f}s  "
                 f"{'ok' if ok else 'REGRESSION (recovery must finish)'}"
-            )
-        elif row.get("metric") == "degraded":
-            compared += 1
-            base = degraded_base["degraded_over_clean"]
-            ok = row["degraded_over_clean"] <= base * floor
-            identical_ok = bool(row["results_identical"])
-            all_ok &= ok and identical_ok
-            lines.append(
-                f"faults degraded     wall: fresh "
-                f"{row['degraded_over_clean']:>5.2f}x  committed {base:>5.2f}x  "
-                f"ceiling {base * floor:>5.2f}x  identical="
-                f"{identical_ok}  "
-                f"{'ok' if ok and identical_ok else 'REGRESSION'}"
             )
     if compared == 0:
         lines.append("faults: no comparable rows — REGRESSION")
@@ -403,12 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     ok &= check_obs(
         load(ROOT / "BENCH_obs.json"),
         load(args.fresh / "BENCH_obs.json"),
-        args.floor,
-        lines,
-    )
-    ok &= check_shards(
-        load(ROOT / "BENCH_shards.json"),
-        load(args.fresh / "BENCH_shards.json"),
         args.floor,
         lines,
     )

@@ -36,8 +36,8 @@ Packages:
   persistent flush cache, per-tenant budgets and admission shedding,
   crash-safe write-ahead tenant journals and recovery,
 * :mod:`repro.faults`     -- deterministic fault injection: a seeded
-  `FaultPlan` drives pool crashes, shm failures, watchdog timeouts,
-  snapshot corruption, consumer stalls and worker departures,
+  `FaultPlan` drives snapshot corruption, consumer stalls and worker
+  departures,
 * :mod:`repro.experiments`-- the per-figure reproduction harness and the
   ``stream`` / ``scenario`` / ``profile`` / ``serve`` CLIs.
 
@@ -135,7 +135,6 @@ from repro.errors import (
     ConvergenceError,
     DatasetError,
     FlushBudgetError,
-    FlushTimeoutError,
     InjectedFault,
     InvalidInstanceError,
     JournalError,
@@ -193,7 +192,6 @@ from repro.stream import (
     MicroBatcher,
     PoissonProcess,
     RushHourProcess,
-    ShardedFlushExecutor,
     ShardSeedSchedule,
     StreamConfig,
     StreamReport,
@@ -310,7 +308,6 @@ __all__ = [
     "MicroBatcher",
     "AdaptiveBatchController",
     "WorkerBudgetTracker",
-    "ShardedFlushExecutor",
     "ShardSeedSchedule",
     "StreamConfig",
     "DispatchSimulator",
@@ -337,7 +334,6 @@ __all__ = [
     "ConfigurationError",
     "InvalidInstanceError",
     "FlushBudgetError",
-    "FlushTimeoutError",
     "InjectedFault",
     "JournalError",
     "BudgetExhaustedError",

@@ -3,7 +3,7 @@
 Four pieces (ICDE'23 reproduction grown into a dispatch service):
 
 * :class:`~repro.api.options.SolveOptions` — every knob (seed, sweep,
-  shards, batching, method overrides) in one validated, frozen record,
+  batching, method overrides) in one validated, frozen record,
   accepted by ``make_solver``, ``Solver.solve``, ``BatchRunner``,
   ``StreamRunner`` and the CLI;
 * :class:`~repro.api.methods.MethodSpec` — parseable method identifiers

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -40,15 +41,19 @@ __all__ = [
     "validate_default_deadline",
     "validate_horizon",
     "validate_timeline_limit",
-    "validate_flush_timeout",
     "validate_faults",
 ]
 
 #: WorkerProposal sweep implementations of the conflict-elimination engine.
 SWEEP_MODES = ("auto", "vectorized", "scalar")
 
-#: How shard groups of one flush are executed.
+#: Values the deprecated ``parallel`` option still accepts (inert: every
+#: flush solves in-process).
 PARALLEL_MODES = ("off", "thread", "process")
+
+#: The deprecated, inert options and their defaults; any other value
+#: warns (see :class:`SolveOptions`).
+_INERT_DEFAULTS = {"shards": "auto", "parallel": "off", "max_shard_workers": None}
 
 #: How in-window releases compose into one per-window guarantee
 #: (see :mod:`repro.privacy.horizon`).
@@ -100,14 +105,14 @@ def validate_sweep_threshold(threshold: int | None) -> int | None:
 def validate_sharding(
     shards: int | str, parallel: str, max_shard_workers: int | None = None
 ) -> None:
-    """Check the shard-count / parallel-mode / pool-size combination.
+    """Check the deprecated shard-count / parallel-mode / pool-size keys.
 
-    ``shards`` is either an explicit slot count (``0`` = forced single
-    execution unit, ``>= 1`` = fixed slots) or the string ``"auto"`` —
-    the cost-model-planned mode, where the
-    :class:`~repro.stream.costmodel.FlushPlanner` picks the execution
-    strategy per flush.  With ``"auto"``, ``parallel`` restricts the
-    planner (``"off"`` leaves it free to choose).
+    The keys no longer change anything (every flush solves its cut
+    in-process), but configurations that spell them are still checked
+    exactly as before, so a value that used to be rejected still is:
+    ``shards`` is an int ``>= 0`` or ``"auto"``, ``parallel`` one of
+    :data:`PARALLEL_MODES` (and not on a ``shards=0`` config), and
+    ``max_shard_workers`` ``None`` or ``>= 1``.
     """
     if isinstance(shards, str):
         if shards != "auto":
@@ -224,20 +229,6 @@ def validate_timeline_limit(timeline_limit: int | None) -> int | None:
     return timeline_limit
 
 
-def validate_flush_timeout(flush_timeout: float | None) -> float | None:
-    """Check the pooled-solve watchdog deadline; returns it for chaining.
-
-    ``None`` disables the watchdog (the historical behaviour); otherwise
-    a positive number of seconds after which a pooled flush is abandoned
-    and the execution ladder degrades.
-    """
-    if flush_timeout is not None and not flush_timeout > 0:
-        raise ConfigurationError(
-            f"flush_timeout must be positive or None, got {flush_timeout!r}"
-        )
-    return flush_timeout
-
-
 def validate_faults(faults: Any) -> Any:
     """Check a fault-injection spec; returns the *raw* spec for chaining.
 
@@ -281,13 +272,11 @@ class SolveOptions:
     max_batch_size, max_wait:
         Micro-batch flush triggers of the streaming layer.
     shards, parallel, max_shard_workers:
-        Sharded-flush execution (see :mod:`repro.stream.shards`).  The
-        default ``shards="auto"`` lets the per-flush cost model
-        (:mod:`repro.stream.costmodel`) pick the execution strategy —
-        single-unit, sequential-sharded, or process-parallel — per
-        flush; an explicit int forces that many execution slots.  All
-        settings produce bit-identical results (the shard cut, not the
-        execution mode, defines every noise stream).
+        Deprecated and inert: every flush solves its conflict-free units
+        in-process, in key order (see :mod:`repro.stream.shards`).  They
+        are still accepted so existing specs load, validated as before,
+        and setting any of them off its default emits one
+        :class:`DeprecationWarning`.
     adaptive, target_flush_seconds:
         Adaptive micro-batch sizing (see
         :class:`~repro.stream.batcher.AdaptiveBatchController`).
@@ -326,20 +315,13 @@ class SolveOptions:
         time): once a timeline exceeds the cap it is thinned by dropping
         every other interior point.  ``None`` = unbounded (historical
         behaviour); long-horizon replays should set it.
-    flush_timeout:
-        Watchdog deadline (seconds) for pooled shard solves.  A pooled
-        flush that exceeds it is abandoned and re-run one rung down the
-        degradation ladder (shm → pickle → sequential → unsharded), so a
-        hung pool worker costs latency, never the run.  ``None`` (the
-        default) disables the watchdog.  Results are unchanged either
-        way — every ladder rung is bit-identical.
     faults:
         Deterministic fault injection (:mod:`repro.faults`): ``None``
         (off), ``"smoke"`` (the low-rate CI plan), a
         :class:`~repro.faults.FaultPlan`, or its mapping/JSON form.
         Injected faults fire reproducibly from ``(seed, flush, site)``;
-        all kinds except ``worker_departure`` are masked by the
-        degradation ladder and never change results.
+        all kinds except ``worker_departure`` are masked and never
+        change results.
     """
 
     seed: int = 0
@@ -362,13 +344,22 @@ class SolveOptions:
     window_composition: str = "sequential"
     window_decay: float | None = None
     timeline_limit: int | None = None
-    flush_timeout: float | None = None
     faults: Any = None
 
     def __post_init__(self) -> None:
         validate_sweep(self.sweep)
         validate_sweep_threshold(self.sweep_auto_threshold)
         validate_sharding(self.shards, self.parallel, self.max_shard_workers)
+        legacy = sorted(
+            name for name, default in _INERT_DEFAULTS.items() if getattr(self, name) != default
+        )
+        if legacy:
+            warnings.warn(
+                f"SolveOptions key(s) {legacy} are deprecated and have no effect: "
+                f"every flush solves its cut in-process",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         validate_batching(self.max_batch_size, self.max_wait)
         validate_horizon(
             self.window_seconds,
@@ -377,7 +368,6 @@ class SolveOptions:
             self.window_decay,
         )
         validate_timeline_limit(self.timeline_limit)
-        validate_flush_timeout(self.flush_timeout)
         validate_faults(self.faults)
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigurationError(
@@ -435,9 +425,6 @@ class SolveOptions:
         return StreamConfig(
             max_batch_size=self.max_batch_size,
             max_wait=self.max_wait,
-            shards=self.shards,
-            parallel=self.parallel,
-            max_shard_workers=self.max_shard_workers,
             adaptive=self.adaptive,
             target_flush_seconds=self.target_flush_seconds,
             cache=self.cache,
@@ -445,7 +432,6 @@ class SolveOptions:
             trace=self.trace,
             horizon=self.horizon_policy(),
             timeline_limit=self.timeline_limit,
-            flush_timeout=self.flush_timeout,
             faults=self.fault_plan(),
             **extra,
         )

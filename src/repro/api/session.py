@@ -461,7 +461,7 @@ class DispatchSession:
         return self._simulator.finalize()
 
     def close(self) -> None:
-        """Release pooled resources without finalising stats."""
+        """Release the session's buffers without finalising stats."""
         self._simulator.close()
 
     def __enter__(self) -> "DispatchSession":

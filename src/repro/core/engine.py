@@ -216,11 +216,11 @@ class ConflictEliminationSolver:
     ) -> list[AssignmentResult]:
         """Run the batch protocol on precut shard instances, one run each.
 
-        The engine-side entry point of the sharded flush executor
-        (:mod:`repro.stream.shards`): each instance is an independent,
-        conflict-free shard of a larger flush — no worker or task appears
-        in two of them — and is solved as its own protocol episode with
-        its own seed.  Results come back in input order; merging them is
+        The engine-side entry point of the flush path
+        (:func:`repro.stream.shards.solve_flush`): each instance is an
+        independent, conflict-free shard of a larger flush — no worker or
+        task appears in two of them — and is solved as its own protocol
+        episode with its own seed.  Results come back in input order; merging them is
         the caller's job (the shards layer owns the deterministic merge
         ordering).  The shards run sequentially here, so one
         ``workspace`` arena serves them all.

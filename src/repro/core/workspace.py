@@ -5,8 +5,7 @@ micro-flush used to allocate a fresh set of numpy buffers (sweep masks,
 noise-draw memos, winner state) just to throw them away a millisecond
 later.  :class:`EngineWorkspace` is the arena that amortises those
 allocations: a long-lived owner (:class:`~repro.stream.simulator.
-DispatchSimulator`, :class:`~repro.simulation.runner.BatchRunner`, a
-:class:`~repro.stream.shards.ShardedFlushExecutor` running sequentially)
+DispatchSimulator`, :class:`~repro.simulation.runner.BatchRunner`)
 creates one workspace and threads it through
 :meth:`~repro.core.engine.ConflictEliminationSolver.solve`; each solve
 *leases* the arena, draws named buffers from it, and releases the lease on
@@ -24,52 +23,18 @@ Correctness contract:
   sharing a workspace across threads degrades to the old behaviour
   instead of corrupting state.
 * **Released means empty.**  :meth:`release` drops every buffer;
-  lifecycle owners call it from their ``close()`` (the same pooled-
-  executor guarantee the shard pools have), so a finished
+  lifecycle owners call it from their ``close()``, so a finished
   :class:`~repro.api.session.DispatchSession` holds no arena memory.
-
-The module's second arena, :class:`ShmArena`, serves the *cross-process*
-hot path: it stages named numpy planes into one growable
-``multiprocessing.shared_memory`` segment so pool workers receive
-(offset, length) views (:func:`attach_planes`) instead of pickled
-copies.  Ownership rules: the staging side (the
-:class:`~repro.stream.shards.ShardedFlushExecutor`) creates and unlinks
-the segment — on close, on stream finish, and on the failure path alike
-— while workers only ever attach, cache the mapping per segment name,
-and never unlink.  On Linux an unlinked segment stays valid for already-
-attached workers, which is what makes the grow-by-replacing lifecycle
-safe.
 """
 
 from __future__ import annotations
-
-import atexit
-import os
-import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.tracer import NULL_TRACER
 
-try:  # pragma: no cover - present on every supported platform
-    import multiprocessing
-    from multiprocessing import resource_tracker, shared_memory
-except ImportError:  # pragma: no cover - platforms without POSIX shm
-    multiprocessing = None  # type: ignore[assignment]
-    shared_memory = None  # type: ignore[assignment]
-    resource_tracker = None  # type: ignore[assignment]
-
-__all__ = [
-    "EngineWorkspace",
-    "ShmArena",
-    "ShmHandle",
-    "attach_planes",
-    "detach_all_planes",
-    "shm_available",
-    "sweep_stale_segments",
-]
+__all__ = ["EngineWorkspace"]
 
 
 class EngineWorkspace:
@@ -151,322 +116,3 @@ class EngineWorkspace:
         view = buf[:size]
         view[...] = fill
         return view
-
-
-# -- shared-memory plane transport ------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ShmHandle:
-    """A picklable description of planes staged in one shm segment.
-
-    ``layout`` rows are ``(name, dtype_str, shape, byte_offset)``; the
-    handle plus the segment name is everything a worker process needs to
-    rebuild zero-copy views (:func:`attach_planes`).  Handles are tiny
-    (they replace the pickled arrays themselves), which is the whole
-    point of the transport.
-    """
-
-    segment: str
-    layout: tuple[tuple[str, str, tuple[int, ...], int], ...]
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes spanned by the staged planes (diagnostics only)."""
-        if not self.layout:
-            return 0
-        name, dtype, shape, offset = self.layout[-1]
-        count = 1
-        for dim in shape:
-            count *= dim
-        return offset + count * np.dtype(dtype).itemsize
-
-
-_SHM_OK: bool | None = None
-
-
-def shm_available() -> bool:
-    """Whether POSIX shared memory actually works here (probed once).
-
-    ``multiprocessing.shared_memory`` can be importable yet unusable
-    (no ``/dev/shm``, sandboxed runtimes), so availability is settled by
-    creating and unlinking a tiny real segment.  The shard transport
-    falls back to the pickle path when this is ``False``.
-    """
-    global _SHM_OK
-    if _SHM_OK is None:
-        if shared_memory is None:
-            _SHM_OK = False
-        else:
-            try:
-                probe = shared_memory.SharedMemory(create=True, size=16)
-                probe.close()
-                probe.unlink()
-                _SHM_OK = True
-            except (OSError, ValueError):
-                _SHM_OK = False
-    return _SHM_OK
-
-
-# -- stale-segment manifest --------------------------------------------------
-#
-# A normally-exiting run unlinks its segments (ShmArena.close runs on the
-# executor's close *and* failure paths), but a SIGKILL / hard crash strands
-# them in /dev/shm.  Each process therefore mirrors the names of the
-# segments it owns into a tiny per-pid manifest file; the next run's
-# `sweep_stale_segments` (called from `shutdown_warm_pools` and atexit)
-# unlinks any segment listed in a manifest whose pid is dead.  The
-# manifest is best-effort — a failure to write it never fails a stage.
-
-_OWNED_SEGMENTS: set[str] = set()
-
-
-def _manifest_dir() -> str:
-    return os.path.join(tempfile.gettempdir(), "repro-shm")
-
-
-def _manifest_path(pid: int) -> str:
-    return os.path.join(_manifest_dir(), f"{pid}.segments")
-
-
-def _write_manifest() -> None:
-    path = _manifest_path(os.getpid())
-    try:
-        if not _OWNED_SEGMENTS:
-            if os.path.exists(path):
-                os.unlink(path)
-            return
-        os.makedirs(_manifest_dir(), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            handle.write("".join(f"{name}\n" for name in sorted(_OWNED_SEGMENTS)))
-        os.replace(tmp, path)
-    except OSError:  # pragma: no cover - manifest is advisory
-        pass
-
-
-def _register_segment(name: str) -> None:
-    _OWNED_SEGMENTS.add(name)
-    _write_manifest()
-
-
-def _unregister_segment(name: str) -> None:
-    if name in _OWNED_SEGMENTS:
-        _OWNED_SEGMENTS.discard(name)
-        _write_manifest()
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # pragma: no cover - exists but not ours
-        return True
-    return True
-
-
-def sweep_stale_segments() -> int:
-    """Unlink shm segments leaked by crashed runs; returns the count.
-
-    Scans the manifest directory for per-pid manifests whose owner is no
-    longer alive, unlinks every segment they name, and removes the
-    manifest.  Safe to call at any time — live processes' manifests are
-    left alone, and already-gone segments are skipped silently.  Wired
-    into :func:`repro.stream.shards.shutdown_warm_pools` (and thereby
-    atexit), so any run that uses pools also janitors its predecessors.
-    """
-    if shared_memory is None:
-        return 0
-    removed = 0
-    try:
-        entries = os.listdir(_manifest_dir())
-    except OSError:
-        return 0
-    for entry in entries:
-        stem, dot, ext = entry.partition(".")
-        if ext != "segments" or not stem.isdigit():
-            continue
-        pid = int(stem)
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        path = os.path.join(_manifest_dir(), entry)
-        try:
-            with open(path) as handle:
-                names = [line.strip() for line in handle if line.strip()]
-        except OSError:
-            continue
-        for name in names:
-            try:
-                stale = shared_memory.SharedMemory(name=name)
-            except (FileNotFoundError, OSError, ValueError):
-                continue
-            try:
-                stale.close()
-                stale.unlink()
-                removed += 1
-            except (FileNotFoundError, OSError):  # pragma: no cover - raced
-                pass
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - raced
-            pass
-    return removed
-
-
-@atexit.register
-def _drop_own_manifest() -> None:  # pragma: no cover - interpreter teardown
-    """Remove this process's manifest; normal exits leave no tombstone."""
-    _OWNED_SEGMENTS.clear()
-    try:
-        os.unlink(_manifest_path(os.getpid()))
-    except OSError:
-        pass
-
-
-class ShmArena:
-    """One growable shared-memory segment staging named numpy planes.
-
-    The staging side of the zero-copy shard transport: per flush,
-    :meth:`stage` packs the flush's planes (64-byte aligned, contiguous)
-    into the segment — reusing it while it is big enough, replacing it
-    (create new, unlink old) when the flush outgrows it — and returns a
-    :class:`ShmHandle`.  Overwriting is safe because the executor joins
-    every worker future before the next stage.
-
-    The arena *owns* its segment: :meth:`close` unlinks it, and the
-    executor calls close from its normal close path **and** its failure
-    path, so a solver crash never leaks ``/dev/shm`` space.  ``close``
-    is idempotent and the arena stays usable afterwards (the next stage
-    re-creates a segment).
-    """
-
-    __slots__ = (
-        "_shm",
-        "_capacity",
-        "stages",
-        "segments_created",
-        "stage_attempts",
-        "fault_plan",
-    )
-
-    def __init__(self, fault_plan=None) -> None:
-        self._shm = None
-        self._capacity = 0
-        #: Observability counters: plane-sets staged / segments created.
-        self.stages = 0
-        self.segments_created = 0
-        #: Every `stage` call, including ones an injected fault aborted —
-        #: the fault key, so a failed attempt does not doom the next one.
-        self.stage_attempts = 0
-        #: Optional :class:`~repro.faults.FaultPlan`; when set, `stage`
-        #: may raise a deterministic injected shm failure that the
-        #: executor's ladder absorbs.
-        self.fault_plan = fault_plan
-
-    @property
-    def segment_name(self) -> str | None:
-        return self._shm.name if self._shm is not None else None
-
-    def stage(self, planes: "dict[str, np.ndarray]") -> ShmHandle:
-        """Copy ``planes`` into the segment; return the attach handle."""
-        if shared_memory is None:
-            raise ConfigurationError("shared memory is unavailable on this platform")
-        self.stage_attempts += 1
-        if self.fault_plan is not None:
-            self.fault_plan.fire(
-                "shm_attach", key=(self.stage_attempts,), site="arena.stage"
-            )
-        layout: list[tuple[str, str, tuple[int, ...], int]] = []
-        staged: list[tuple[int, np.ndarray]] = []
-        offset = 0
-        for name, array in planes.items():
-            array = np.ascontiguousarray(array)
-            offset = -(-offset // 64) * 64
-            layout.append((name, array.dtype.str, array.shape, offset))
-            staged.append((offset, array))
-            offset += array.nbytes
-        total = max(offset, 1)
-        if self._shm is None or self._capacity < total:
-            self.close()
-            capacity = max(total, 2 * self._capacity)
-            self._shm = shared_memory.SharedMemory(create=True, size=capacity)
-            self._capacity = capacity
-            self.segments_created += 1
-            _register_segment(self._shm.name)
-        buf = self._shm.buf
-        for start, array in staged:
-            view = np.ndarray(array.shape, dtype=array.dtype, buffer=buf, offset=start)
-            view[...] = array
-        self.stages += 1
-        return ShmHandle(segment=self._shm.name, layout=tuple(layout))
-
-    def close(self) -> None:
-        """Unlink and drop the segment (idempotent)."""
-        if self._shm is not None:
-            name = self._shm.name
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):  # already gone: fine
-                pass
-            _unregister_segment(name)
-            self._shm = None
-            self._capacity = 0
-
-
-#: Worker-process attach cache: segment name -> open SharedMemory.  One
-#: attach per (worker, segment) generation; entries for superseded
-#: segments are pruned oldest-first so a grow-happy stream cannot pin
-#: unbounded unlinked segments in a long-lived pool worker.
-_ATTACHED: "dict[str, object]" = {}
-_ATTACH_CACHE_LIMIT = 4
-
-
-def attach_planes(handle: ShmHandle, tracer=NULL_TRACER) -> "dict[str, np.ndarray]":
-    """Zero-copy numpy views over a staged segment (worker side).
-
-    The first call for a segment opens and caches the mapping (the
-    ``shard.shm_attach`` span; later calls are dict hits).  Python 3.11
-    has no ``track=False``, and attaching registers the segment with the
-    worker's resource tracker, so the attach compensates by start
-    method: under ``spawn`` the worker has its *own* tracker that would
-    warn about (and unlink!) "leaked" segments it does not own, so the
-    registration is removed; under ``fork`` the tracker is shared with
-    the staging process — the attach-registration is a set no-op there,
-    and unregistering would strip the owner's entry instead.
-    """
-    if shared_memory is None:
-        raise ConfigurationError("shared memory is unavailable on this platform")
-    shm = _ATTACHED.get(handle.segment)
-    if shm is None:
-        with tracer.span("shard.shm_attach"):
-            shm = shared_memory.SharedMemory(name=handle.segment)
-            try:
-                if multiprocessing.get_start_method(allow_none=True) != "fork":
-                    resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # tracker internals shifted: views still work
-                pass
-            while len(_ATTACHED) >= _ATTACH_CACHE_LIMIT:
-                oldest = next(iter(_ATTACHED))
-                old = _ATTACHED.pop(oldest)
-                try:
-                    old.close()
-                except OSError:
-                    pass
-            _ATTACHED[handle.segment] = shm
-    buf = shm.buf
-    return {
-        name: np.ndarray(shape, dtype=np.dtype(dtype), buffer=buf, offset=offset)
-        for name, dtype, shape, offset in handle.layout
-    }
-
-
-def detach_all_planes() -> None:
-    """Drop the worker-side attach cache (tests / pool recycling)."""
-    for shm in _ATTACHED.values():
-        try:
-            shm.close()
-        except OSError:
-            pass
-    _ATTACHED.clear()

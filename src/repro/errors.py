@@ -31,8 +31,8 @@ class FlushBudgetError(ConfigurationError):
     worst-case flush spend above a worker's remaining shift budget, or
     when :meth:`repro.stream.batcher.WorkerBudgetTracker.charge` audits a
     ledger that pushed a worker past capacity.  Carries the offending
-    worker and the numbers so parallel shard workers surface diagnosable
-    failures instead of a bare assertion.
+    worker and the numbers so a failing flush surfaces a diagnosable
+    failure instead of a bare assertion.
 
     Subclasses :class:`ConfigurationError` so pre-existing guards keep
     catching it.
@@ -70,16 +70,6 @@ class ConvergenceError(ReproError):
 
 class DatasetError(ReproError):
     """A workload generator or loader received invalid parameters or data."""
-
-
-class FlushTimeoutError(ReproError):
-    """A pooled shard solve exceeded the flush watchdog deadline.
-
-    Raised by :class:`repro.stream.shards.ShardedFlushExecutor` when a
-    pooled future does not complete within ``flush_timeout`` seconds.
-    The executor catches it itself and degrades down the transport/mode
-    ladder, so callers only see it if every rung fails.
-    """
 
 
 class InjectedFault(ReproError):

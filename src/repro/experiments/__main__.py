@@ -7,7 +7,7 @@ Examples::
     python -m repro.experiments run fig17 --datasets chengdu normal
     python -m repro.experiments stream --arrivals poisson --methods PUCE UCE
     python -m repro.experiments stream --methods "PDCE(ppcf=off)" UCE
-    python -m repro.experiments stream --shards 4 --parallel process --adaptive
+    python -m repro.experiments stream --adaptive --target-flush-seconds 0.01
     python -m repro.experiments scenario examples/scenario_rush_hour.json
     python -m repro.experiments scenario spec.json --seed 11 --save-spec spec11.json
     python -m repro.experiments stream --trace --trace-out run.jsonl
@@ -38,18 +38,6 @@ from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.report import format_figure
 from repro.experiments.streaming import ARRIVAL_KINDS, format_stream_report
 from repro.obs import format_profile, write_metrics_prometheus, write_trace_jsonl
-
-
-def _shards_arg(value: str) -> "int | str":
-    """``--shards`` accepts an integer slot count or the literal ``auto``."""
-    if value == "auto":
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}"
-        ) from None
 
 
 def _add_obs_flags(
@@ -215,20 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     stream.add_argument("--max-batch", type=int, default=50, help="micro-batch flush size")
     stream.add_argument("--max-wait", type=float, default=0.2, help="micro-batch flush wait")
     stream.add_argument(
-        "--shards",
-        type=_shards_arg,
-        default="auto",
-        help="conflict-free shard slots per flush: an integer forces the "
-        "slot count, 'auto' (default) lets the cost model plan each flush",
-    )
-    stream.add_argument(
-        "--parallel",
-        choices=("off", "thread", "process"),
-        default="off",
-        help="how to execute shard groups ('off' under --shards auto lets "
-        "the planner pick; a forced --shards N pins the mode)",
-    )
-    stream.add_argument(
         "--adaptive",
         action="store_true",
         help="adapt the flush size to observed flush service times",
@@ -262,20 +236,12 @@ def main(argv: list[str] | None = None) -> int:
         "the workspace arena",
     )
     stream.add_argument(
-        "--flush-timeout",
-        type=float,
-        default=None,
-        help="watchdog deadline (seconds) for pooled flush solves; a "
-        "timed-out flush retries down the degradation ladder "
-        "(bit-identical, just slower)",
-    )
-    stream.add_argument(
         "--faults",
         metavar="SPEC",
         default=None,
         help="deterministic fault injection: 'smoke' for the built-in "
         'plan, or a JSON object like \'{"seed": 7, "rates": '
-        '{"pool_crash": 0.1}}\'',
+        '{"worker_departure": 0.1}}\'',
     )
     stream.add_argument("--seed", type=int, default=0)
     stream.add_argument(
@@ -402,8 +368,6 @@ def main(argv: list[str] | None = None) -> int:
                     seed=args.seed,
                     max_batch_size=args.max_batch,
                     max_wait=args.max_wait,
-                    shards=args.shards,
-                    parallel=args.parallel,
                     adaptive=args.adaptive,
                     target_flush_seconds=args.target_flush_seconds,
                     cache=args.cache,
@@ -414,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
                     window_composition=args.window_composition,
                     window_decay=args.window_decay,
                     timeline_limit=args.timeline_limit,
-                    flush_timeout=args.flush_timeout,
                     faults=args.faults,
                 ),
             )

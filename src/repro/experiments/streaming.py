@@ -127,8 +127,8 @@ def format_stream_report(report: StreamReport, scenario: StreamScenario) -> str:
     ``top_phase`` is the costliest tracer phase of the method's run
     (``"-"`` when tracing was off); the full breakdown lives in the
     ``profile`` subcommand (:func:`repro.obs.format_profile`).  ``plan``
-    counts flushes by the execution strategy the cost model chose for
-    them (:attr:`~repro.stream.metrics.StreamStats.plan_summary`).
+    counts flushes by how they were solved — ``uns`` / ``seq`` /
+    ``cache`` (:attr:`~repro.stream.metrics.StreamStats.plan_summary`).
     """
     header = (
         f"stream[{scenario.arrivals}/{scenario.dataset}] "

@@ -5,13 +5,11 @@ a stable key, so a run can be replayed bit-for-bit.  Faults get the same
 treatment: a :class:`FaultPlan` decides whether a fault of some *kind*
 fires at some *site* of some *flush* purely from
 ``(plan.seed, kind, site, key)`` — no global counters, no wall clock —
-so a failure test replays exactly, including which retry attempt of
-which flush sees the crash.
+so a failure test replays exactly, down to which flush sees the fault.
 
-The plan is threaded explicitly where possible (``StreamConfig.faults``,
-the :class:`~repro.stream.shards.ShardedFlushExecutor`); layers without
-a config path (the cache snapshot loader, the service consumer) consult
-the process-wide :func:`active_fault_plan`, settable in code
+The plan is threaded explicitly where possible (``StreamConfig.faults``);
+layers without a config path (the cache snapshot loader, the service
+consumer) consult the process-wide :func:`active_fault_plan`, settable in code
 (:func:`set_fault_plan`, the :func:`fault_injection` context manager) or
 via the ``REPRO_FAULTS`` environment variable (``smoke`` enables the
 low-rate CI plan; a JSON object spells an explicit plan).
@@ -19,13 +17,6 @@ low-rate CI plan; a JSON object spells an explicit plan).
 Fault kinds and their injection sites:
 
 ==================  =======================================================
-``pool_crash``      :meth:`ShardedFlushExecutor._run_pooled` — the pool is
-                    treated as broken before the submit (per attempt, so
-                    the respawn/backoff path genuinely recovers).
-``shm_attach``      shm staging/attach — the zero-copy transport fails and
-                    the ladder falls back to the pickle payload.
-``solver_timeout``  the pooled-solve watchdog — the flush times out as if
-                    the solver hung, and the ladder degrades.
 ``snapshot_corrupt``
                     :meth:`FlushSolverCache.load` — the snapshot reads as
                     garbage and the cache starts cold (with a warning).
@@ -40,8 +31,8 @@ Fault kinds and their injection sites:
 ==================  =======================================================
 
 Except for ``worker_departure``, injected faults are *masked* failures:
-the degradation ladder and the journal guarantee the run completes with
-results bit-identical to the fault-free run — only latency changes.
+a cold cache and a stalled consumer cost time, never results, so the run
+completes bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
@@ -70,23 +61,17 @@ __all__ = [
 ]
 
 #: Every fault kind a plan may rate.  The single source of truth — the
-#: executor, simulator, cache and service sites all spell these strings.
+#: simulator, cache and service sites all spell these strings.
 FAULT_KINDS = (
-    "pool_crash",
-    "shm_attach",
-    "solver_timeout",
     "snapshot_corrupt",
     "queue_stall",
     "worker_departure",
 )
 
-#: Kinds whose injection is guaranteed result-preserving (the ladder /
-#: journal masks them).  ``worker_departure`` is excluded: removing a
-#: worker legitimately changes the dispatch outcome.
+#: Kinds whose injection is guaranteed result-preserving.
+#: ``worker_departure`` is excluded: removing a worker legitimately
+#: changes the dispatch outcome.
 MASKED_FAULT_KINDS = (
-    "pool_crash",
-    "shm_attach",
-    "solver_timeout",
     "snapshot_corrupt",
     "queue_stall",
 )
@@ -209,20 +194,11 @@ class FaultPlan:
 def smoke_plan() -> FaultPlan:
     """The CI fault-injection plan (``REPRO_FAULTS=smoke``).
 
-    Low-rate, *masked* kinds only: pool crashes, shm failures and
-    watchdog timeouts are absorbed by the degradation ladder, and
-    consumer stalls only add loop yields — so the whole tier-1 suite
-    must still pass bit-identically underneath it.
+    Low-rate, *masked* kinds only: consumer stalls only add loop
+    yields, so the whole tier-1 suite must still pass bit-identically
+    underneath it.
     """
-    return FaultPlan(
-        seed=0xFA017,
-        rates={
-            "pool_crash": 0.05,
-            "shm_attach": 0.05,
-            "solver_timeout": 0.02,
-            "queue_stall": 0.02,
-        },
-    )
+    return FaultPlan(seed=0xFA017, rates={"queue_stall": 0.02})
 
 
 def plan_from_env() -> FaultPlan | None:

@@ -551,12 +551,6 @@ class DispatchService:
                 histogram.observe(flush.flush_seconds or flush.solver_seconds)
                 if not flush.cache_hit:
                     state.flush_signal.update(flush.solver_seconds)
-                if flush.degraded:
-                    self.metrics.counter(
-                        "service_degraded_flushes_total",
-                        "flushes that walked the degradation ladder",
-                        tenant=state.name,
-                    ).inc()
             state.flushes_seen = len(flushes)
             self.metrics.gauge(
                 "service_tenant_privacy_spend",

@@ -18,30 +18,14 @@ bookkeeping they replaced).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.budgets import BudgetVector
 from repro.errors import InvalidInstanceError
 
-__all__ = ["PairArrays", "PAIR_PLANES"]
-
-#: The flat array *planes* a :class:`PairArrays` is made of, in a fixed
-#: feed order.  ``budget_prefix`` rides along even though it is derived:
-#: shipping it lets :meth:`PairArrays.from_planes` skip the
-#: ``__post_init__`` recompute, so an attached shared-memory view is
-#: usable with zero per-attach array work.
-PAIR_PLANES = (
-    "offsets",
-    "task",
-    "worker",
-    "distance",
-    "budget_matrix",
-    "budget_len",
-    "task_value",
-    "budget_prefix",
-)
+__all__ = ["PairArrays"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,32 +103,6 @@ class PairArrays:
         """
         length = int(self.budget_len[pair_index])
         return BudgetVector(tuple(self.budget_matrix[pair_index, :length].tolist()))
-
-    # -- zero-copy plane transport --------------------------------------
-
-    def planes(self) -> dict[str, np.ndarray]:
-        """The raw array planes, keyed by :data:`PAIR_PLANES` name.
-
-        The shared-memory shard transport stages exactly these arrays
-        (:class:`~repro.core.workspace.ShmArena`); a worker process
-        reassembles the parent via :meth:`from_planes` without copying
-        or recomputing anything.
-        """
-        return {name: getattr(self, name) for name in PAIR_PLANES}
-
-    @classmethod
-    def from_planes(cls, planes: Mapping[str, np.ndarray]) -> "PairArrays":
-        """Rewrap pre-built planes (shared-memory views) without copying.
-
-        Bypasses ``__init__``/``__post_init__`` entirely: the planes —
-        including the derived ``budget_prefix`` — are installed verbatim,
-        so the result is a zero-copy view over whatever buffers back the
-        mapping.  The inverse of :meth:`planes`.
-        """
-        self = object.__new__(cls)
-        for name in PAIR_PLANES:
-            object.__setattr__(self, name, planes[name])
-        return self
 
     # -- content hashing ------------------------------------------------
 

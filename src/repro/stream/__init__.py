@@ -11,12 +11,8 @@ timeline through every method (:mod:`repro.stream.runner`), collecting
 latency / expiry / throughput / privacy-over-time measures
 (:mod:`repro.stream.metrics`).
 
-Scaling layer: flushes can be *sharded* — spatially cut into
-conflict-free components and solved independently, sequentially or in
-parallel (:mod:`repro.stream.shards`, with a zero-copy shared-memory
-transport and persistent warm pools) — each flush's execution strategy
-is *planned* by a calibrated cost model
-(:mod:`repro.stream.costmodel`, the ``shards="auto"`` default), the
+Flush path: every flush is cut into conflict-free units, each solved
+in-process with its own noise stream (:mod:`repro.stream.shards`), the
 flush size can *adapt* to observed flush service times
 (:class:`~repro.stream.batcher.AdaptiveBatchController`), and recurring
 flushes can skip instance construction and solve entirely through the
@@ -49,23 +45,16 @@ from repro.stream.events import (
     merge_events,
 )
 from repro.stream.cache import FlushSolverCache, cache_profile, flush_fingerprint
-from repro.stream.costmodel import (
-    FlushCostModel,
-    FlushPlan,
-    FlushPlanner,
-    geomean_ratio,
-)
 from repro.stream.metrics import FlushRecord, StreamStats
 from repro.stream.runner import StreamReport, StreamRunner
 from repro.stream.shards import (
     ShardComponent,
     ShardCut,
-    ShardedFlushExecutor,
     ShardSeedSchedule,
     build_shard_instance,
     cut_flush,
     merge_shard_results,
-    shutdown_warm_pools,
+    solve_flush,
 )
 from repro.stream.simulator import DispatchSimulator, StreamConfig
 
@@ -90,15 +79,10 @@ __all__ = [
     "ShardComponent",
     "ShardCut",
     "ShardSeedSchedule",
-    "ShardedFlushExecutor",
     "cut_flush",
     "build_shard_instance",
     "merge_shard_results",
-    "shutdown_warm_pools",
-    "FlushCostModel",
-    "FlushPlan",
-    "FlushPlanner",
-    "geomean_ratio",
+    "solve_flush",
     "FlushSolverCache",
     "cache_profile",
     "flush_fingerprint",

@@ -186,13 +186,9 @@ class AdaptiveBatchController:
       ``growth`` (never above ``max_size``) — under-filled flushes carry
       no evidence that a bigger limit would fill, so they never grow it.
 
-    With a ``cost_model`` attached the controller also plans ahead
-    instead of only reacting: it keeps a pairs-per-task EWMA from the
-    observed flushes and caps growth at the batch size whose *predicted*
-    solve time (:meth:`~repro.stream.costmodel.FlushCostModel.
-    max_pairs_within`) stays inside the target — so one over-eager
-    growth step can no longer blow a flush straight past the latency
-    budget before the reactive shrink kicks in.
+    The headroom rule bounds growth on its own: the limit grows by
+    ``growth`` only after a full flush ran in under ``headroom`` times
+    the target.
     """
 
     target_seconds: float = 0.02
@@ -200,8 +196,6 @@ class AdaptiveBatchController:
     max_size: int = 2000
     growth: float = 1.5
     headroom: float = 0.5
-    cost_model: "object | None" = None
-    _pairs_per_task: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.target_seconds > 0:
@@ -220,39 +214,14 @@ class AdaptiveBatchController:
                 f"headroom must be in (0, 1], got {self.headroom}"
             )
 
-    def next_size(
-        self, current: int, service_seconds: float, flushed: int, pairs: int = 0
-    ) -> int:
-        """The flush-size limit to use after one observed flush.
-
-        ``pairs`` (the flush instance's feasible-pair count, 0 when
-        unknown) feeds the cost model's look-ahead cap; without a model
-        the policy is the pure reactive AIMD.
-        """
-        if pairs > 0 and flushed > 0:
-            ratio = pairs / flushed
-            self._pairs_per_task = (
-                ratio
-                if self._pairs_per_task == 0.0
-                else 0.7 * self._pairs_per_task + 0.3 * ratio
-            )
+    def next_size(self, current: int, service_seconds: float, flushed: int) -> int:
+        """The flush-size limit to use after one observed flush."""
         if service_seconds > self.target_seconds:
             shrunk = int(current * self.target_seconds / service_seconds)
             return max(self.min_size, min(shrunk, current - 1))
         if flushed >= current and service_seconds < self.headroom * self.target_seconds:
-            grown = min(self.max_size, max(int(current * self.growth), current + 1))
-            return max(min(grown, self._planned_cap()), min(current, self.max_size))
+            return min(self.max_size, max(int(current * self.growth), current + 1))
         return current
-
-    def _planned_cap(self) -> int:
-        """Largest batch the cost model predicts still meets the target.
-
-        Unbounded without a model or before any pairs-per-task evidence.
-        """
-        if self.cost_model is None or self._pairs_per_task <= 0.0:
-            return self.max_size
-        max_pairs = self.cost_model.max_pairs_within(self.target_seconds)
-        return max(self.min_size, int(max_pairs / self._pairs_per_task))
 
 
 @dataclass
@@ -297,18 +266,14 @@ class MicroBatcher:
                 min(self.max_batch_size, self.controller.max_size),
             )
 
-    def observe_flush(
-        self, service_seconds: float, flushed: int, pairs: int = 0
-    ) -> int:
+    def observe_flush(self, service_seconds: float, flushed: int) -> int:
         """Adapt ``max_batch_size`` to one flush's observed service time.
 
-        ``pairs`` forwards the flush's feasible-pair count to the
-        controller's cost-model look-ahead (0 = unknown).  No-op without
-        a controller.  Returns the limit now in force.
+        No-op without a controller.  Returns the limit now in force.
         """
         if self.controller is not None:
             self.max_batch_size = self.controller.next_size(
-                self.max_batch_size, service_seconds, flushed, pairs=pairs
+                self.max_batch_size, service_seconds, flushed
             )
         return self.max_batch_size
 

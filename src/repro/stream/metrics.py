@@ -33,8 +33,8 @@ __all__ = ["FlushRecord", "OnlineIndicators", "StreamStats"]
 class FlushRecord:
     """One micro-batch: what was flushed, solved and spent.
 
-    ``shards`` is how many conflict-free components the flush was cut
-    into (1 on the unsharded path); ``batch_limit`` is the
+    ``shards`` is how many conflict-free units the flush was cut into
+    (0 when it had no feasible pair); ``batch_limit`` is the
     ``max_batch_size`` in force when the flush fired (it moves under
     adaptive micro-batching; 0 means "not recorded").  ``cache_hit``
     says whether the flush-fingerprint solver cache served the result
@@ -45,12 +45,9 @@ class FlushRecord:
     (``None`` when tracing is off).
 
     ``pairs`` is the flush instance's feasible-pair count;
-    ``planned_mode`` is the :class:`~repro.stream.costmodel.FlushPlan`
-    label the executor chose (``"uns"`` / ``"seq"`` / ``"proc:4+shm"``
-    ...; ``"cache"`` for cache-served flushes, which skip planning) and
-    ``predicted_seconds`` the cost model's estimate for that plan — the
-    pair every calibration-error report compares against
-    ``solver_seconds``.
+    ``planned_mode`` says how the flush was solved: ``"uns"`` for the
+    single-unit direct solve, ``"seq"`` for units sliced, solved in key
+    order and merged, ``"cache"`` for cache-served flushes.
 
     ``window_spend`` is the fleet's total *in-window* spend right after
     the flush under a sliding-window accountant
@@ -58,9 +55,8 @@ class FlushRecord:
     streams.  Unlike ``cumulative_privacy_spend`` it is not monotone —
     it falls as old releases age out, which is the point.
 
-    ``degraded`` records the executor's ladder walk when the flush hit a
-    masked failure (``"proc:4+shm->proc:4->seq"``); ``None`` on a clean
-    flush.  Degradation changes latency, never results.
+    ``degraded`` is always ``None``: flushes solve in-process and have
+    no degraded mode.  The field stays for readers of older records.
     """
 
     index: int
@@ -77,7 +73,6 @@ class FlushRecord:
     phase_seconds: dict[str, float] | None = None
     pairs: int = 0
     planned_mode: str = ""
-    predicted_seconds: float = 0.0
     window_spend: float | None = None
     degraded: str | None = None
 
@@ -338,11 +333,11 @@ class StreamStats:
 
     @property
     def plan_summary(self) -> str:
-        """Planner decisions over the run, e.g. ``"uns:41 seq:3"``.
+        """How the run's flushes were solved, e.g. ``"uns:41 seq:3"``.
 
         Counts flushes by their :attr:`FlushRecord.planned_mode` label in
-        first-seen order; ``"-"`` when no flush recorded a plan (streams
-        from before the planner, or hand-built records).
+        first-seen order; ``"-"`` when no flush recorded one (hand-built
+        records).
         """
         counts: dict[str, int] = {}
         for record in self.flushes:
@@ -351,11 +346,6 @@ class StreamStats:
         if not counts:
             return "-"
         return " ".join(f"{mode}:{count}" for mode, count in counts.items())
-
-    @property
-    def degraded_flushes(self) -> int:
-        """Flushes that completed via the degradation ladder."""
-        return sum(1 for record in self.flushes if record.degraded)
 
     @property
     def throughput_tasks_per_sec(self) -> float:

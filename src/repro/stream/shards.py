@@ -1,118 +1,65 @@
-"""Sharded flush execution: conflict-free spatial cuts + parallel solves.
+"""Sharded flush solving: the conflict-free cut is the noise schedule.
 
 A flush's :class:`~repro.simulation.instance.ProblemInstance` is a CSR
 pair graph, and the round-based protocol never couples two pairs that
-share neither a worker nor a task.  This module exploits that: the flush
-is *cut* into independent shards along grid-cell boundaries
-(:func:`cut_flush`), each shard becomes its own sub-instance
-(:func:`build_shard_instance` — plain CSR slices via
-:meth:`~repro.simulation.pairs.PairArrays.subset`), the engine solves the
-shards independently (:class:`ShardedFlushExecutor` — sequentially or in
-parallel via :mod:`concurrent.futures`), and the per-shard results merge
-back deterministically (:func:`merge_shard_results`).
+share neither a worker nor a task.  Every flush is therefore *cut* into
+independent units along grid-cell boundaries (:func:`cut_flush`), each
+unit becomes its own sub-instance (:func:`build_shard_instance` — plain
+CSR slices via :meth:`~repro.simulation.pairs.PairArrays.subset`), the
+engine solves the units one after another in ascending key order
+(:func:`solve_flush`), and the per-unit results merge back
+deterministically (:func:`merge_shard_results`).  Everything runs in the
+calling process.
 
-The **shard-cut invariant**: no worker and no task spans two shards.  The
+The **shard-cut invariant**: no worker and no task spans two units.  The
 cut is the connected-component structure of the bipartite feasibility
 graph, coarsened by the grid cells of the task locations (points sharing
 a cell stay together; a worker glues every cell it reaches).  An
-oversized component simply *is* one shard — there is no way to split it
+oversized component simply *is* one unit — there is no way to split it
 without cutting a worker in half, so it falls back to a single engine
 run.
 
-**Determinism**: the cut is a pure function of the instance; each
-component is seeded from its own stable key (the smallest global worker
-index it contains) through a :class:`ShardSeedSchedule`; and results are
-merged in ascending component-key order.  Shard *grouping* (how
-components are packed onto execution slots) therefore affects scheduling
-only — the merged assignments, ledgers and release boards are
-bit-identical across shard counts, across sequential/thread/process
-execution, and across the pickle/shared-memory transports.
-
-**Execution is planned, not guessed** (:mod:`repro.stream.costmodel`):
-every flush gets a :class:`~repro.stream.costmodel.FlushPlan` — mode,
-slot count, transport — either pinned by explicit ``shards=N`` settings
-or chosen per flush by a calibrated :class:`~repro.stream.costmodel.
-FlushPlanner` (``shards="auto"``).  Two fixed costs that used to make
-sharding a regression are engineered away here:
-
-* **Zero-copy shard transport** — for process-parallel flushes above a
-  size floor, the parent's CSR planes (plus numeric task/worker record
-  planes) are staged once into a shared-memory segment
-  (:class:`~repro.core.workspace.ShmArena`) and workers receive a tiny
-  picklable handle instead of pickled sub-instances
-  (:func:`_solve_shm_group` attaches, slices, solves).  Falls back to
-  the pickle payload when shm is unavailable or the flush is small.
-* **Persistent warm pools** — process/thread pools live in a
-  process-wide registry keyed by ``(kind, max_workers)`` and survive
-  executor :meth:`~ShardedFlushExecutor.close`, so streams stop paying
-  pool spawn per run.  Broken pools are detected and respawned (a
-  ``pool.respawn`` tracer event); :func:`shutdown_warm_pools` tears
-  everything down (registered ``atexit``).
+**The cut is the noise schedule.**  Each unit draws its Laplace noise
+from its own generator, ``default_rng((*noise_key, unit_key))``
+(:class:`ShardSeedSchedule`), keyed by the smallest global worker index
+it contains.  Solving a multi-unit flush as one engine run would draw
+the same pairs' noise from one stream instead and change the results,
+so the cut cannot be dropped: it is part of what a flush computes, not
+an execution strategy.  The cut is a pure function of the instance and
+the coalescing floor, and the merge runs in key order, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
-import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.engine import ConflictEliminationSolver
 from repro.core.result import AssignmentResult
-from repro.core.workspace import (
-    ShmArena,
-    ShmHandle,
-    attach_planes,
-    shm_available,
-    sweep_stale_segments,
-)
-from repro.datasets.workload import Task, Worker
-from repro.errors import ConfigurationError, FlushTimeoutError, InjectedFault
 from repro.obs.tracer import NULL_TRACER, stopwatch
 from repro.matching.bipartite import Matching
 from repro.privacy.accountant import PrivacyLedger
 from repro.simulation.instance import ProblemInstance
-from repro.simulation.pairs import PairArrays
-from repro.spatial.geometry import Point
 from repro.spatial.index import grid_cell_labels
-from repro.stream.costmodel import FlushPlan, FlushPlanner
 
 if TYPE_CHECKING:  # runtime import is deferred to break the package cycle
     from repro.core.registry import Solver
 
 __all__ = [
+    "MIN_SHARD_PAIRS",
     "ShardComponent",
     "ShardCut",
     "ShardSeedSchedule",
-    "ShardedFlushExecutor",
-    "PARALLEL_MODES",
-    "SHARD_TRANSPORTS",
     "cut_flush",
     "build_shard_instance",
     "merge_shard_results",
+    "solve_flush",
     "shutdown_warm_pools",
 ]
-
-# Re-exported from the unified options layer (the single source of truth).
-from repro.api.options import PARALLEL_MODES  # noqa: E402
-
-#: Transport settings of :class:`ShardedFlushExecutor`: ``"auto"`` lets
-#: the plan decide (shm above the size floor, pickle otherwise/fallback),
-#: the other two force one transport for process-parallel flushes.
-SHARD_TRANSPORTS = ("auto", "shm", "pickle")
-
-# Bound once for the trusted record-rebuild loops in the shm transport:
-# frozen slotted dataclasses are assembled through these on the pool
-# worker side, bypassing ``__init__`` for planes that are known to have
-# round-tripped already-validated records.
-_NEW = object.__new__
-_SET = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +68,7 @@ class ShardComponent:
 
     ``key`` is the component's canonical identity — the smallest global
     worker index it contains — and is what the RNG schedule and the merge
-    order key on, so it must not depend on shard count or scheduling.
+    order key on, so it must not depend on the order units are solved in.
     ``tasks`` / ``workers`` are sorted global indices into the parent
     instance.
     """
@@ -215,11 +162,10 @@ def cut_flush(
     into units of at least that many pairs; the trailing dust remainder
     folds into the last dust-formed unit, so at most one unit (an
     all-dust flush) sits below the threshold.  The rule is part of the
-    *cut*, not the scheduling: for a fixed threshold the units — and
-    therefore every per-unit noise stream — are identical whatever the
-    shard count or parallel mode.  A component at or above the threshold
-    (in particular any oversized one) stands alone as a single shard;
-    dust never merges into it.
+    *cut*: for a fixed threshold the units — and therefore every per-unit
+    noise stream — are a pure function of the instance.  A component at
+    or above the threshold (in particular any oversized one) stands alone
+    as a single shard; dust never merges into it.
 
     ``micro_shortcut`` enables the micro-flush fast path: when the whole
     flush holds at most ``min_shard_pairs`` pairs (and the threshold is
@@ -322,14 +268,14 @@ def _coalesce(
     """Coalesce key-ordered dust components into >=threshold units.
 
     A component at or above the threshold stands alone — dust never
-    rides along on it (that would re-key its noise stream and fatten the
-    parallel critical path).  Dust components accumulate, in key order,
-    into merged units of at least ``min_shard_pairs``; the trailing
-    remainder folds into the last dust-formed unit, so at most one unit
-    (all-dust flushes) ends up below the threshold.  The union of
-    conflict-free components is itself conflict-free, so every merged
-    unit is still a valid shard; its key is the smallest worker index it
-    contains — the first member's, since input is key-sorted.
+    rides along on it (that would re-key its noise stream).  Dust
+    components accumulate, in key order, into merged units of at least
+    ``min_shard_pairs``; the trailing remainder folds into the last
+    dust-formed unit, so at most one unit (all-dust flushes) ends up
+    below the threshold.  The union of conflict-free components is
+    itself conflict-free, so every merged unit is still a valid shard;
+    its key is the smallest worker index it contains — the first
+    member's, since input is key-sorted.
     """
     if min_shard_pairs <= 1:
         return list(components)
@@ -402,12 +348,11 @@ def build_shard_instance(
 
 @dataclass(frozen=True, slots=True)
 class ShardSeedSchedule:
-    """Per-component noise streams derived from one picklable base key.
+    """Per-unit noise streams derived from one flush's base key.
 
-    Component ``key`` gets ``default_rng((*base, key))`` — stable across
-    shard counts, shard grouping and process boundaries, which is what
-    makes the sharded path's results independent of how (and where) the
-    shards were executed.
+    Unit ``key`` gets ``default_rng((*base, key))``, so each unit's noise
+    depends only on the flush and the unit, never on the order the units
+    are solved in.
     """
 
     base: tuple[int, ...]
@@ -427,8 +372,8 @@ def merge_shard_results(
     Shards are disjoint in workers and tasks, so matchings and release
     boards union without collisions; ledger events are re-recorded
     shard-by-shard in key order so the merged audit trail is reproducible.
-    ``rounds`` is the max over shards (the parallel protocol depth);
-    ``publishes`` is the total.
+    ``rounds`` is the max over shards (the protocol depth had the units
+    run side by side); ``publishes`` is the total.
     """
     matching: dict[object, object] = {}
     ledger = PrivacyLedger()
@@ -455,708 +400,97 @@ def merge_shard_results(
     )
 
 
-def _solve_component_group(
+def _solve_units(
     solver: "Solver",
-    base: tuple[int, ...],
-    group: list[tuple[int, ProblemInstance]],
+    schedule: ShardSeedSchedule,
+    units: list[tuple[int, ProblemInstance]],
     workspace=None,
     tracer=NULL_TRACER,
 ) -> list[tuple[int, AssignmentResult]]:
-    """Solve one shard group sequentially (runs in a pool worker).
+    """Solve keyed units in order, each with its scheduled noise stream.
 
-    Module-level so :class:`ProcessPoolExecutor` can pickle it; the seed
-    schedule is rebuilt from ``base`` on the far side of the boundary.
-    ``workspace`` (an :class:`~repro.core.workspace.EngineWorkspace`) and
-    ``tracer`` (a :class:`repro.obs.Tracer`) are only ever passed on
-    in-process sequential execution — pool workers get the defaults and
-    allocate / no-op per solve.
+    :class:`ConflictEliminationSolver` subclasses go through their
+    ``solve_shards`` entry point (which threads ``workspace`` and
+    ``tracer``); anything else falls back to per-unit ``solve`` calls.
     """
-    schedule = ShardSeedSchedule(base)
-    keys = [key for key, _ in group]
-    instances = [sub for _, sub in group]
+    keys = [key for key, _ in units]
+    instances = [sub for _, sub in units]
     seeds = [schedule.generator(key) for key in keys]
     solve_shards = getattr(solver, "solve_shards", None)
     if solve_shards is not None:
         results = solve_shards(instances, seeds, workspace=workspace, tracer=tracer)
     else:
-        results = [
-            solver.solve(sub, seed=seed) for sub, seed in zip(instances, seeds)
-        ]
+        results = [solver.solve(sub, seed=seed) for sub, seed in zip(instances, seeds)]
     return list(zip(keys, results))
 
 
-def _solve_shm_group(
+def solve_flush(
     solver: "Solver",
-    base: tuple[int, ...],
-    handle: ShmHandle,
-    meta: tuple[tuple[int, int, int, int, int], ...],
-    model,
-) -> list[tuple[int, AssignmentResult]]:
-    """Solve one shard group from shared-memory planes (pool worker side).
+    instance: ProblemInstance,
+    schedule: ShardSeedSchedule,
+    *,
+    min_shard_pairs: int = MIN_SHARD_PAIRS,
+    workspace=None,
+    tracer=NULL_TRACER,
+) -> tuple[AssignmentResult, ShardCut, str]:
+    """Cut one flush and solve its units in key order, in-process.
 
-    The zero-copy counterpart of shipping a pickled payload to
-    :func:`_solve_component_group`: the worker attaches the staged
-    segment once (:func:`~repro.core.workspace.attach_planes`, cached
-    per segment name), rebuilds the parent
-    :class:`~repro.simulation.pairs.PairArrays` as views, slices each
-    component out with ``subset`` (which copies, so nothing in the
-    returned results aliases the segment), and reconstructs each
-    component's :class:`Task`/:class:`Worker` records from the numeric
-    record planes — batched through ``.tolist()`` so the rebuild does a
-    handful of array conversions per component instead of ~7 numpy
-    scalar reads per record.  Python objects never cross the boundary:
-    pickling a few hundred dataclass records costs more than every
-    numeric plane combined, which is exactly what this transport is for.
-    ``meta`` rows are
-    ``(key, task_offset, task_len, worker_offset, worker_len)`` into the
-    staged component-index planes.  Bit-identity with the pickle path is
-    pinned by the property suite (float64 planes round-trip every
-    record field exactly).
+    Returns ``(result, cut, mode)``.  ``mode`` is ``"uns"`` when the
+    single-unit fast path solved the flush instance directly and
+    ``"seq"`` when the units were sliced, solved one by one and merged.
+    ``workspace`` (an :class:`~repro.core.workspace.EngineWorkspace`) is
+    reused by every unit solve; ``tracer`` records the ``flush.cut`` /
+    ``flush.build`` / ``flush.solve`` / ``flush.merge`` phases under the
+    caller's current span.  ``min_shard_pairs`` is the coalescing floor
+    forwarded to :func:`cut_flush`; it shapes the units, hence the noise
+    streams.
     """
-    planes = attach_planes(handle)
-    parent = PairArrays.from_planes(planes)
-    task_id = planes["rec_task_id"]
-    task_num = planes["rec_task_num"]
-    worker_id = planes["rec_worker_id"]
-    worker_num = planes["rec_worker_num"]
-    comp_tasks = planes["comp_task_idx"]
-    comp_workers = planes["comp_worker_idx"]
-    group: list[tuple[int, ProblemInstance]] = []
-    for key, t_off, t_len, w_off, w_len in meta:
-        t_idx = comp_tasks[t_off : t_off + t_len]
-        w_idx = comp_workers[w_off : w_off + w_len]
-        sub_pairs = parent.subset(w_idx, t_idx)
-        # Trusted rebuild: the planes round-tripped a parent whose records
-        # already passed ``__post_init__`` validation (float64 is exact for
-        # every field), so construct via ``object.__new__`` and skip the
-        # dataclass ``__init__``/``__post_init__``.  The transposed
-        # ``.tolist()`` hands each field as one flat column instead of a
-        # throwaway per-record list.  Records dominate the worker-side
-        # handoff cost, so the ~30% per record compounds.
-        t_xs, t_ys, t_vals, t_rels = task_num[t_idx].T.tolist()
-        tasks = []
-        for tid, x, y, value, release in zip(
-            task_id[t_idx].tolist(), t_xs, t_ys, t_vals, t_rels
-        ):
-            record = _NEW(Task)
-            _SET(record, "id", tid)
-            _SET(record, "location", Point(x, y))
-            _SET(record, "value", value)
-            _SET(record, "release_time", release)
-            tasks.append(record)
-        w_xs, w_ys, w_rads = worker_num[w_idx].T.tolist()
-        workers = []
-        for wid, x, y, radius in zip(worker_id[w_idx].tolist(), w_xs, w_ys, w_rads):
-            record = _NEW(Worker)
-            _SET(record, "id", wid)
-            _SET(record, "location", Point(x, y))
-            _SET(record, "radius", radius)
-            workers.append(record)
-        # Slice the flat pair list per worker via the CSR bounds in one
-        # pass — much cheaper than per-worker fancy indexing.
-        pair_tasks = sub_pairs.task.tolist()
-        bounds = sub_pairs.offsets.tolist()
-        reachable = tuple(
-            tuple(pair_tasks[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-        )
-        group.append(
-            (key, ProblemInstance.from_arrays(tasks, workers, model, reachable, sub_pairs))
-        )
-    return _solve_component_group(solver, base, group)
+    watch = stopwatch()
+    with watch:
+        with tracer.span("flush.cut"):
+            cut = cut_flush(instance, min_shard_pairs=min_shard_pairs)
 
+        # Single-unit fast path (the common case once dust coalesces):
+        # solve the flush instance directly with the unit's scheduled
+        # seed — bit-identical results, none of the slice/rebuild/
+        # re-record overhead.  Safe when the unit covers the whole
+        # instance (the sub-instance would be a verbatim copy), and for
+        # the engine family even with orphans: orphan tasks/workers own
+        # no pairs, engine noise is drawn per *pair* in CSR order, and
+        # results are keyed by public ids, so dropping orphans cannot
+        # change anything (the shard tests pin fast == slow).  A solver
+        # outside the engine family could consume randomness per worker,
+        # so orphans disqualify it there.
+        if len(cut.components) == 1:
+            whole_cover = not cut.orphan_tasks and not cut.orphan_workers
+            if whole_cover or isinstance(solver, ConflictEliminationSolver):
+                with tracer.span("flush.solve"):
+                    ((_, result),) = _solve_units(
+                        solver,
+                        schedule,
+                        [(cut.components[0].key, instance)],
+                        workspace,
+                        tracer,
+                    )
+                return result, cut, "uns"
 
-def _group_components(
-    components: Sequence[ShardComponent], num_shards: int
-) -> list[list[ShardComponent]]:
-    """Pack components onto ``num_shards`` slots, balanced by pair count.
-
-    Greedy longest-processing-time: heaviest component first, onto the
-    lightest slot (ties: lowest slot index).  Deterministic, and — because
-    execution is per-component-seeded — free to change without changing
-    results.
-    """
-    slots: list[list[ShardComponent]] = [[] for _ in range(max(1, num_shards))]
-    loads = [0] * len(slots)
-    for component in sorted(components, key=lambda c: (-c.pair_count, c.key)):
-        slot = loads.index(min(loads))
-        slots[slot].append(component)
-        loads[slot] += component.pair_count
-    return [slot for slot in slots if slot]
-
-
-# -- warm pool registry -------------------------------------------------------
-
-#: Process-wide pools keyed by ``(kind, max_workers)``.  Pool spawn
-#: (tens of ms for processes, plus a re-import per worker) used to be
-#: paid per executor; keeping pools warm amortises it across flushes
-#: *and* across streams in one process.
-_WARM_POOLS: dict[tuple[str, int], Executor] = {}
-
-
-def _pool_broken(pool: Executor) -> bool:
-    # ProcessPoolExecutor sets ``_broken`` when a worker dies; thread
-    # pools never break.  Private, but stable across supported versions
-    # and the only health signal short of submitting a probe job.
-    return bool(getattr(pool, "_broken", False))
-
-
-def _warm_pool(kind: str, max_workers: int) -> Executor:
-    """The warm pool for ``(kind, max_workers)``, health-checked.
-
-    A broken pool is discarded and respawned on the way in, so callers
-    always receive a usable executor.
-    """
-    key = (kind, max_workers)
-    pool = _WARM_POOLS.get(key)
-    if pool is not None and not _pool_broken(pool):
-        return pool
-    if pool is not None:
-        _discard_warm_pool(kind, max_workers)
-    if kind == "thread":
-        pool = ThreadPoolExecutor(max_workers=max_workers)
-    else:
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-    _WARM_POOLS[key] = pool
-    return pool
-
-
-def _discard_warm_pool(kind: str, max_workers: int) -> None:
-    pool = _WARM_POOLS.pop((kind, max_workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
+        with tracer.span("flush.build"):
+            units = [
+                (component.key, build_shard_instance(instance, component))
+                for component in cut.components
+            ]
+        with tracer.span("flush.solve"):
+            keyed_results = _solve_units(solver, schedule, units, workspace, tracer)
+        with tracer.span("flush.merge"):
+            merged = merge_shard_results(
+                instance, solver.name, keyed_results, elapsed_seconds=watch.elapsed
+            )
+    return merged, cut, "seq"
 
 
 def shutdown_warm_pools() -> None:
-    """Shut down every warm shard pool (tests; registered ``atexit``).
+    """Kept for callers of the retired process-pool tier: a no-op.
 
-    Also sweeps shm segments stranded by *previous* crashed runs
-    (:func:`~repro.core.workspace.sweep_stale_segments`): any process
-    that used pools janitors its predecessors on the way out.
+    Flushes solve in the calling process, so there are no pools to shut
+    down.
     """
-    for key in list(_WARM_POOLS):
-        pool = _WARM_POOLS.pop(key)
-        pool.shutdown(wait=True, cancel_futures=True)
-    sweep_stale_segments()
-
-
-atexit.register(shutdown_warm_pools)
-
-
-class ShardedFlushExecutor:
-    """Run one solver over the conflict-free shards of flush instances.
-
-    Parameters
-    ----------
-    solver:
-        Any registry solver.  :class:`ConflictEliminationSolver` subclasses
-        go through their ``solve_shards`` entry point; anything else falls
-        back to per-shard ``solve`` calls.
-    num_shards:
-        Execution slots to pack components into (the parallel width) when
-        no ``planner`` is given — the executor then pins a forced
-        :class:`~repro.stream.costmodel.FlushPlanner` to this count.
-        Components are the atomic units: a flush that is one giant
-        component runs as one shard regardless of this setting.
-    parallel:
-        ``"off"`` (sequential, the reference path), ``"thread"``, or
-        ``"process"`` (:mod:`concurrent.futures`; the solver and shard
-        instances must pickle, which all registry methods do).
-    max_workers:
-        Pool size for the parallel modes (default: ``num_shards``).
-        Also the warm-pool registry key, so streams sharing a width
-        share a pool.
-    min_shard_pairs:
-        Coalescing floor forwarded to :func:`cut_flush`.  Results depend
-        on this threshold (it shapes the per-unit noise streams) but
-        never on ``num_shards``/``parallel``/``max_workers``/transport.
-    workspace:
-        Optional :class:`~repro.core.workspace.EngineWorkspace` reused by
-        the in-process sequential solves (the single-unit fast path and
-        sequential groups).  Pool workers never see it.
-    tracer:
-        A :class:`repro.obs.Tracer` recording the flush phases
-        (``flush.cut`` / ``flush.plan`` / ``flush.build`` /
-        ``flush.solve`` / ``flush.merge``) under the caller's current
-        span, plus ``shard.shm_stage`` / ``pool.respawn`` point events.
-        Pool workers never see it (their spans would land in another
-        process); the no-op default costs nothing.
-    planner:
-        A :class:`~repro.stream.costmodel.FlushPlanner` choosing mode /
-        slot count / transport per flush (``shards="auto"``).  ``None``
-        builds a forced planner from ``num_shards``/``parallel`` —
-        legacy pinned behaviour, still with ``predicted_seconds`` on the
-        plan.
-    transport:
-        ``"auto"`` (the plan decides: shm above the size floor when
-        available, pickle otherwise), or force ``"shm"`` / ``"pickle"``
-        for process-parallel flushes.  A forced ``"shm"`` still falls
-        back to pickle when shared memory is unusable on the host.
-    flush_timeout:
-        Watchdog deadline (seconds) for one pooled flush solve.  When a
-        pooled future outlives it, the pool is discarded (it may be
-        wedged) and the flush degrades one ladder rung.  ``None`` (the
-        default) disables the watchdog.
-    fault_plan:
-        Optional :class:`~repro.faults.FaultPlan`: deterministic
-        ``pool_crash`` / ``shm_attach`` / ``solver_timeout`` injection,
-        keyed by the flush's seed-schedule base and the retry attempt so
-        every failure replays bit-identically.
-
-    The executor leases pools from the process-wide warm registry —
-    :meth:`close` drops the reference (and unlinks the shm arena) but
-    leaves the pool warm for the next stream; the *failure* path instead
-    discards the pool outright and unlinks the arena, so a raising solve
-    leaks neither ``/dev/shm`` space nor a possibly-poisoned pool.
-
-    **Degradation ladder.**  Pool breaks, watchdog timeouts, shm
-    failures and injected faults never fail the flush outright: the
-    executor first respawns a broken pool with capped exponential
-    backoff (``POOL_RESPAWN_ATTEMPTS``), and when a rung is exhausted it
-    re-executes the *same cut* one rung down — shm transport → pickle
-    transport → sequential in-process → single-slot sequential.  The cut
-    defines every noise stream, so every rung is bit-identical: a
-    masked failure costs latency, never results.  The walk is recorded
-    in :attr:`last_degraded` (``None`` on a clean flush) and as
-    ``flush.degrade`` tracer events.
-    """
-
-    #: Broken-pool respawn budget per flush (beyond the first attempt),
-    #: with capped exponential backoff between attempts.
-    POOL_RESPAWN_ATTEMPTS = 2
-    RESPAWN_BACKOFF_SECONDS = 0.05
-    RESPAWN_BACKOFF_CAP = 0.5
-
-    def __init__(
-        self,
-        solver: "Solver",
-        num_shards: int = 1,
-        parallel: str = "off",
-        max_workers: int | None = None,
-        min_shard_pairs: int = MIN_SHARD_PAIRS,
-        workspace=None,
-        tracer=NULL_TRACER,
-        planner: FlushPlanner | None = None,
-        transport: str = "auto",
-        flush_timeout: float | None = None,
-        fault_plan=None,
-    ):
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        if parallel not in PARALLEL_MODES:
-            raise ConfigurationError(
-                f"unknown parallel mode {parallel!r}; choose from {PARALLEL_MODES}"
-            )
-        if transport not in SHARD_TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown shard transport {transport!r}; "
-                f"choose from {SHARD_TRANSPORTS}"
-            )
-        self.solver = solver
-        self.num_shards = num_shards
-        self.parallel = parallel
-        self.max_workers = max_workers or num_shards
-        self.min_shard_pairs = min_shard_pairs
-        self.workspace = workspace
-        self.tracer = tracer
-        self.transport = transport
-        if flush_timeout is not None and not flush_timeout > 0:
-            raise ConfigurationError(
-                f"flush_timeout must be positive or None, got {flush_timeout!r}"
-            )
-        self.flush_timeout = flush_timeout
-        self.fault_plan = fault_plan
-        #: Ladder walk of the most recent flush: ``None`` when the flush
-        #: ran clean, else an arrow chain of plan labels
-        #: (``"proc:4+shm->proc:4->seq"``).
-        self.last_degraded: str | None = None
-        if planner is None:
-            planner = FlushPlanner(
-                min_shard_pairs=min_shard_pairs,
-                parallel=parallel,
-                forced_shards=num_shards,
-                max_workers=self.max_workers,
-                shm_ok=transport != "pickle" and shm_available(),
-            )
-        self.planner = planner
-        self._pool: Executor | None = None
-        self._pool_kind: str | None = None
-        self._arena: ShmArena | None = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _ensure_pool(self, kind: str) -> Executor:
-        pool = _warm_pool(kind, self.max_workers)
-        self._pool = pool
-        self._pool_kind = kind
-        return pool
-
-    def close(self) -> None:
-        """Release executor-owned resources (idempotent).
-
-        Unlinks this executor's shm arena segment; the worker pool is
-        *not* shut down — pools are process-wide and stay warm for the
-        next stream (:func:`shutdown_warm_pools` tears them down).
-        """
-        self._pool = None
-        self._pool_kind = None
-        if self._arena is not None:
-            self._arena.close()
-
-    def _fail(self) -> None:
-        """Failure-path teardown: a raising solve must leak nothing.
-
-        Unlike :meth:`close`, the pool is discarded from the warm
-        registry and shut down — it may hold in-flight futures against
-        whatever state just raised — and the arena segment is unlinked.
-        Extends the session layer's close-on-raise guarantee to the
-        zero-copy transport.
-        """
-        if self._pool is not None and self._pool_kind is not None:
-            _discard_warm_pool(self._pool_kind, self.max_workers)
-        self._pool = None
-        self._pool_kind = None
-        if self._arena is not None:
-            self._arena.close()
-
-    def __enter__(self) -> "ShardedFlushExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- solving -----------------------------------------------------------
-
-    def solve(
-        self, instance: ProblemInstance, schedule: ShardSeedSchedule
-    ) -> AssignmentResult:
-        """The merged result of one sharded flush solve."""
-        result, _, _ = self.solve_planned(instance, schedule)
-        return result
-
-    def solve_with_cut(
-        self, instance: ProblemInstance, schedule: ShardSeedSchedule
-    ) -> tuple[AssignmentResult, ShardCut]:
-        """As :meth:`solve`, also returning the cut (for observability)."""
-        result, cut, _ = self.solve_planned(instance, schedule)
-        return result, cut
-
-    def solve_planned(
-        self, instance: ProblemInstance, schedule: ShardSeedSchedule
-    ) -> tuple[AssignmentResult, ShardCut, FlushPlan]:
-        """Cut, plan, and solve one flush; returns (result, cut, plan).
-
-        The plan (mode / slot count / transport) is a pure perf
-        decision: results are bit-identical across every plan the
-        executor can produce for a fixed ``min_shard_pairs``.
-        """
-        try:
-            return self._solve_planned(instance, schedule)
-        except BaseException:
-            self._fail()
-            raise
-
-    def _plan(self, pairs: int, cut: ShardCut, single_direct: bool) -> FlushPlan:
-        plan = self.planner.plan(pairs, max(cut.num_components, 1), single_direct)
-        if plan.mode == "process" and self.transport != "auto":
-            forced = self.transport
-            if forced == "shm" and not shm_available():
-                forced = "pickle"
-            if forced != plan.transport:
-                plan = replace(plan, transport=forced)
-        return plan
-
-    def _solve_planned(
-        self, instance: ProblemInstance, schedule: ShardSeedSchedule
-    ) -> tuple[AssignmentResult, ShardCut, FlushPlan]:
-        tracer = self.tracer
-        self.last_degraded = None
-        watch = stopwatch()
-        with watch:
-            with tracer.span("flush.cut"):
-                cut = cut_flush(instance, min_shard_pairs=self.min_shard_pairs)
-
-            # Single-unit fast path (the common case once dust coalesces):
-            # solve the flush instance directly with the unit's scheduled
-            # seed — bit-identical results, none of the slice/rebuild/
-            # re-record overhead.  Safe when the unit covers the whole
-            # instance (the sub-instance would be a verbatim copy), and for
-            # the engine family even with orphans: orphan tasks/workers own
-            # no pairs, engine noise is drawn per *pair* in CSR order, and
-            # results are keyed by public ids, so dropping orphans cannot
-            # change anything (the executor tests pin fast == slow).  A
-            # solver outside the engine family could consume randomness per
-            # worker, so orphans disqualify it there.
-            single_direct = False
-            if len(cut.components) == 1:
-                whole_cover = not cut.orphan_tasks and not cut.orphan_workers
-                single_direct = whole_cover or isinstance(
-                    self.solver, ConflictEliminationSolver
-                )
-
-            with tracer.span("flush.plan"):
-                plan = self._plan(instance.pairs.num_pairs, cut, single_direct)
-
-            if single_direct:
-                key = cut.components[0].key
-                with tracer.span("flush.solve"):
-                    ((_, result),) = _solve_component_group(
-                        self.solver,
-                        schedule.base,
-                        [(key, instance)],
-                        self.workspace,
-                        tracer,
-                    )
-                return result, cut, plan
-
-            walked = [plan]
-            while True:
-                rung = walked[-1]
-                try:
-                    keyed_results = self._execute_plan(
-                        instance, schedule, cut, rung, tracer
-                    )
-                    break
-                except (
-                    BrokenProcessPool,
-                    FlushTimeoutError,
-                    InjectedFault,
-                    OSError,
-                ) as exc:
-                    lower = self._degraded_plan(rung)
-                    if lower is None:
-                        raise
-                    # The failed rung may leave a poisoned pool and a
-                    # half-staged arena behind; drop both before re-
-                    # executing.  The cut (hence every noise stream) is
-                    # untouched, so the lower rung is bit-identical.
-                    if self._pool is not None and self._pool_kind is not None:
-                        _discard_warm_pool(self._pool_kind, self.max_workers)
-                        self._pool = None
-                        self._pool_kind = None
-                    if self._arena is not None:
-                        self._arena.close()
-                    tracer.event("flush.degrade")
-                    walked.append(lower)
-                    del exc
-            if len(walked) > 1:
-                self.last_degraded = "->".join(step.label for step in walked)
-
-            with tracer.span("flush.merge"):
-                merged = merge_shard_results(
-                    instance,
-                    self.solver.name,
-                    keyed_results,
-                    elapsed_seconds=watch.elapsed,
-                )
-        return merged, cut, plan
-
-    # -- the degradation ladder --------------------------------------------
-
-    def _degraded_plan(self, plan: FlushPlan) -> FlushPlan | None:
-        """The next rung down, or ``None`` at the bottom.
-
-        shm transport → pickle transport → sequential (same slot count)
-        → single-slot sequential.  Mode/transport/grouping never touch
-        the noise streams, so every rung solves to the same bits; the
-        bottom rung involves no pool, no shm and no watchdog, so it can
-        only fail the way the reference path fails.
-        """
-        if plan.mode == "process" and plan.transport == "shm":
-            return replace(plan, transport="pickle")
-        if plan.mode in ("thread", "process"):
-            return replace(plan, mode="seq", transport="inline")
-        if plan.mode == "seq" and plan.shards != 1:
-            return replace(plan, shards=1)
-        return None
-
-    def _execute_plan(
-        self,
-        instance: ProblemInstance,
-        schedule: ShardSeedSchedule,
-        cut: ShardCut,
-        plan: FlushPlan,
-        tracer,
-    ) -> list[tuple[int, AssignmentResult]]:
-        """Build and solve one flush under one plan (one ladder rung)."""
-        groups = _group_components(cut.components, plan.shards)
-        pooled = plan.mode in ("thread", "process") and len(groups) > 1
-        use_shm = pooled and plan.mode == "process" and plan.transport == "shm"
-
-        with tracer.span("flush.build"):
-            if use_shm:
-                handle, metas = self._stage_shm(instance, groups)
-                jobs = [
-                    (
-                        _solve_shm_group,
-                        (self.solver, schedule.base, handle, meta, instance.model),
-                    )
-                    for meta in metas
-                ]
-            else:
-                payload = [
-                    [
-                        (component.key, build_shard_instance(instance, component))
-                        for component in group
-                    ]
-                    for group in groups
-                ]
-                jobs = [
-                    (_solve_component_group, (self.solver, schedule.base, group))
-                    for group in payload
-                ]
-
-        with tracer.span("flush.solve"):
-            if not pooled:
-                keyed_results: list[tuple[int, AssignmentResult]] = []
-                for group in payload:
-                    keyed_results.extend(
-                        _solve_component_group(
-                            self.solver, schedule.base, group, self.workspace, tracer
-                        )
-                    )
-                return keyed_results
-            kind = "thread" if plan.mode == "thread" else "process"
-            return self._run_pooled(kind, jobs, flush_key=schedule.base)
-
-    # -- pooled execution --------------------------------------------------
-
-    def _run_pooled(
-        self, kind: str, jobs, flush_key: tuple[int, ...] = ()
-    ) -> list[tuple[int, AssignmentResult]]:
-        """Submit one flush's job groups to the warm pool, watchdogged.
-
-        A crashed worker poisons the whole pool, but the flush itself is
-        retryable (shard solves are pure): broken pools are respawned
-        with capped exponential backoff up to ``POOL_RESPAWN_ATTEMPTS``
-        extra submits.  A flush that outlives ``flush_timeout`` raises
-        :class:`~repro.errors.FlushTimeoutError` after discarding the
-        (possibly wedged) pool; the caller's ladder takes it from there.
-        Injected ``pool_crash`` faults enter through the same respawn
-        path, keyed per attempt so a retry genuinely recovers.
-        """
-        deadline = (
-            None
-            if self.flush_timeout is None
-            else time.monotonic() + self.flush_timeout
-        )
-        key = tuple(int(k) for k in flush_key)
-        attempt = 0
-        while True:
-            pool = self._ensure_pool(kind)
-            futures = []
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.fire(
-                        "pool_crash", key=(*key, attempt), site="pool.submit"
-                    )
-                futures = [pool.submit(fn, *args) for fn, args in jobs]
-                if self.fault_plan is not None and self.fault_plan.should_fire(
-                    "solver_timeout", key=(*key, attempt), site="pool.watchdog"
-                ):
-                    raise FutureTimeoutError(
-                        f"injected solver_timeout fault (flush key {key})"
-                    )
-                keyed_results: list[tuple[int, AssignmentResult]] = []
-                for future in futures:
-                    if deadline is None:
-                        keyed_results.extend(future.result())
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0.0:
-                            raise FutureTimeoutError()
-                        keyed_results.extend(future.result(timeout=remaining))
-                return keyed_results
-            except (BrokenProcessPool, InjectedFault) as exc:
-                if isinstance(exc, InjectedFault) and exc.kind != "pool_crash":
-                    raise
-                attempt += 1
-                if attempt > self.POOL_RESPAWN_ATTEMPTS:
-                    raise
-                self.tracer.event("pool.respawn")
-                _discard_warm_pool(kind, self.max_workers)
-                self._pool = None
-                time.sleep(
-                    min(
-                        self.RESPAWN_BACKOFF_SECONDS * 2 ** (attempt - 1),
-                        self.RESPAWN_BACKOFF_CAP,
-                    )
-                )
-            except FutureTimeoutError as exc:
-                # The pool may be wedged on the slow solve: cancel what
-                # can be cancelled and discard it (threads that cannot
-                # be interrupted finish detached).
-                for future in futures:
-                    future.cancel()
-                _discard_warm_pool(kind, self.max_workers)
-                self._pool = None
-                self._pool_kind = None
-                raise FlushTimeoutError(
-                    f"pooled flush solve exceeded "
-                    f"flush_timeout={self.flush_timeout}s "
-                    f"(kind={kind}, groups={len(jobs)})"
-                ) from exc
-
-    # -- shared-memory staging ---------------------------------------------
-
-    def _stage_shm(
-        self, instance: ProblemInstance, groups: list[list[ShardComponent]]
-    ):
-        """Stage the flush into the shm arena; returns (handle, metas).
-
-        One segment write per flush: the parent's CSR planes verbatim
-        (including the derived prefix, so workers skip the recompute),
-        numeric task/worker record planes (one single-pass extraction
-        over the records, amortised across every component), and the
-        concatenated component index arrays.  ``metas[g]`` holds one
-        ``(key, t_off, t_len, w_off, w_len)`` row per component of group
-        ``g`` — the only per-submit pickle besides the solver itself.
-        Python record objects never ride the pool boundary: pickling a
-        few hundred dataclass records costs more than every numeric
-        plane combined.
-        """
-        if self._arena is None:
-            self._arena = ShmArena(fault_plan=self.fault_plan)
-        tasks = instance.tasks
-        workers = instance.workers
-        planes = dict(instance.pairs.planes())
-        planes["rec_task_id"] = np.fromiter(
-            (t.id for t in tasks), dtype=np.int64, count=len(tasks)
-        )
-        planes["rec_task_num"] = np.asarray(
-            [
-                (t.location.x, t.location.y, t.value, t.release_time)
-                for t in tasks
-            ],
-            dtype=np.float64,
-        ).reshape(len(tasks), 4)
-        planes["rec_worker_id"] = np.fromiter(
-            (w.id for w in workers), dtype=np.int64, count=len(workers)
-        )
-        planes["rec_worker_num"] = np.asarray(
-            [(w.location.x, w.location.y, w.radius) for w in workers],
-            dtype=np.float64,
-        ).reshape(len(workers), 3)
-        t_chunks: list[np.ndarray] = []
-        w_chunks: list[np.ndarray] = []
-        metas: list[tuple[tuple[int, int, int, int, int], ...]] = []
-        t_off = w_off = 0
-        for group in groups:
-            meta = []
-            for component in group:
-                t_idx = np.asarray(component.tasks, dtype=np.int64)
-                w_idx = np.asarray(component.workers, dtype=np.int64)
-                meta.append((component.key, t_off, len(t_idx), w_off, len(w_idx)))
-                t_chunks.append(t_idx)
-                w_chunks.append(w_idx)
-                t_off += len(t_idx)
-                w_off += len(w_idx)
-            metas.append(tuple(meta))
-        planes["comp_task_idx"] = (
-            np.concatenate(t_chunks) if t_chunks else np.zeros(0, dtype=np.int64)
-        )
-        planes["comp_worker_idx"] = (
-            np.concatenate(w_chunks) if w_chunks else np.zeros(0, dtype=np.int64)
-        )
-        handle = self._arena.stage(planes)
-        self.tracer.event("shard.shm_stage")
-        return handle, metas

@@ -28,22 +28,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.api.options import (
-    validate_flush_timeout,
-    validate_service,
-    validate_sharding,
-    validate_timeline_limit,
-)
+from repro.api.options import validate_service, validate_timeline_limit
 from repro.core.budgets import BudgetSampler
 from repro.core.engine import ConflictEliminationSolver
 from repro.core.utility import UtilityModel
-from repro.core.workspace import EngineWorkspace, shm_available
+from repro.core.workspace import EngineWorkspace
 from repro.datasets.workload import Worker
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
@@ -68,9 +62,8 @@ from repro.stream.events import (
     WorkerArrival,
     WorkerDeparture,
 )
-from repro.stream.costmodel import FlushCostModel, FlushPlanner
 from repro.stream.metrics import FlushRecord, StreamStats
-from repro.stream.shards import ShardedFlushExecutor, ShardSeedSchedule
+from repro.stream.shards import MIN_SHARD_PAIRS, ShardSeedSchedule, solve_flush
 from repro.utils.rng import stable_hash
 
 if TYPE_CHECKING:  # runtime import is deferred to break the package cycle
@@ -108,29 +101,6 @@ class StreamConfig:
         or at their original position.
     budget_sampler, model:
         Per-flush instance parameters (Table X defaults when omitted).
-    shards:
-        ``"auto"`` (the default) plans every flush with the calibrated
-        cost model (:mod:`repro.stream.costmodel`): the
-        :class:`~repro.stream.costmodel.FlushPlanner` picks single-unit,
-        sequential-sharded, or process-parallel execution — plus slot
-        count and transport — per flush.  An int pins the execution
-        slots instead: ``0``/``1`` force a single sequential unit,
-        ``>= 2`` that many slots.  Every flush routes through the
-        conflict-free shard cut (:mod:`repro.stream.shards`) with
-        per-component noise seeding, so results are bit-identical across
-        *all* settings of this knob (and of ``parallel``/transport): the
-        cut, not the execution strategy, defines every noise stream.
-    parallel:
-        Shard execution: ``"off"`` (sequential, or planner's choice
-        under ``shards="auto"``), ``"thread"``, or ``"process"``
-        (requires ``shards >= 1`` or ``"auto"``).
-    max_shard_workers:
-        Pool size for parallel shard execution (default: ``shards``,
-        or the host's core count under ``shards="auto"``).
-    cost_model:
-        Optional :class:`~repro.stream.costmodel.FlushCostModel`
-        override for the planner and the adaptive controller (default:
-        the baked-in calibration constants).
     adaptive:
         Enable the :class:`~repro.stream.batcher.AdaptiveBatchController`:
         ``max_batch_size`` becomes the initial flush limit and tracks
@@ -166,15 +136,13 @@ class StreamConfig:
         Cap on the stats timelines (privacy/window spend over time);
         past it, every other interior point is dropped.  ``None`` =
         unbounded (the historical behaviour).
-    flush_timeout:
-        Watchdog deadline (seconds) for pooled flush solves; past it the
-        executor abandons the pool and degrades one ladder rung.
-        ``None`` (the default) disables the watchdog.
     faults:
         Optional :class:`~repro.faults.FaultPlan`: deterministic fault
-        injection threaded into the shard executor, the shm arena, and
-        the simulator's own ``worker_departure`` hook.  ``None`` (the
-        default) injects nothing.
+        injection for the simulator's own ``worker_departure`` hook.
+        ``None`` (the default) injects nothing.
+
+    Every flush is cut into conflict-free units, each solved in-process
+    with its own noise stream (:func:`repro.stream.shards.solve_flush`).
     """
 
     max_batch_size: int = 200
@@ -184,10 +152,6 @@ class StreamConfig:
     relocate_workers: bool = True
     budget_sampler: BudgetSampler | None = None
     model: UtilityModel | None = None
-    shards: int | str = "auto"
-    parallel: str = "off"
-    max_shard_workers: int | None = None
-    cost_model: FlushCostModel | None = None
     adaptive: bool = False
     target_flush_seconds: float = 0.02
     adaptive_min_batch: int = 8
@@ -197,15 +161,12 @@ class StreamConfig:
     trace: bool = False
     horizon: HorizonPolicy | None = None
     timeline_limit: int | None = None
-    flush_timeout: float | None = None
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
         # One validation path: shared with SolveOptions (repro.api.options).
         validate_service(self.speed, self.min_service)
-        validate_sharding(self.shards, self.parallel, self.max_shard_workers)
         validate_timeline_limit(self.timeline_limit)
-        validate_flush_timeout(self.flush_timeout)
         if self.horizon is not None and not isinstance(self.horizon, HorizonPolicy):
             raise ConfigurationError(
                 f"horizon must be a HorizonPolicy or None, "
@@ -263,13 +224,11 @@ class DispatchSimulator:
             if self.config.horizon is not None
             else None
         )
-        cost_model = self.config.cost_model or FlushCostModel()
         controller = (
             AdaptiveBatchController(
                 target_seconds=self.config.target_flush_seconds,
                 min_size=self.config.adaptive_min_batch,
                 max_size=self.config.adaptive_max_batch,
-                cost_model=cost_model,
             )
             if self.config.adaptive
             else None
@@ -291,41 +250,6 @@ class DispatchSimulator:
             if self.config.workspace and isinstance(solver, ConflictEliminationSolver)
             else None
         )
-        # Every flush routes through the sharded executor — the cut's
-        # per-component noise seeding is the *one* noise schedule, so
-        # shards=0, shards=N, and shards="auto" are result-identical and
-        # differ only in execution strategy.
-        if self.config.shards == "auto":
-            cores = os.cpu_count() or 1
-            width = self.config.max_shard_workers or cores
-            self._shard_executor = ShardedFlushExecutor(
-                solver,
-                num_shards=1,
-                parallel=self.config.parallel,
-                max_workers=width,
-                workspace=self._workspace,
-                tracer=self.tracer,
-                planner=FlushPlanner(
-                    model=cost_model,
-                    cores=cores,
-                    parallel=self.config.parallel,
-                    max_workers=width,
-                    shm_ok=shm_available(),
-                ),
-                flush_timeout=self.config.flush_timeout,
-                fault_plan=self.config.faults,
-            )
-        else:
-            self._shard_executor = ShardedFlushExecutor(
-                solver,
-                num_shards=max(int(self.config.shards), 1),
-                parallel=self.config.parallel,
-                max_workers=self.config.max_shard_workers,
-                workspace=self._workspace,
-                tracer=self.tracer,
-                flush_timeout=self.config.flush_timeout,
-                fault_plan=self.config.faults,
-            )
         # Flush-fingerprint solver cache: an injected instance wins (so
         # repeated runs can share one), else config.cache owns a fresh one.
         self._cache = (
@@ -333,18 +257,11 @@ class DispatchSimulator:
             if cache is not None
             else (FlushSolverCache() if self.config.cache else None)
         )
-        # The planned cut config is part of the cache key: the cut's
-        # coalescing floor shapes every per-unit noise stream, so two
-        # streams differing only in min_shard_pairs must never alias.
-        # The plan's *execution* choice (mode/slots/transport) is
-        # deliberately absent — results are invariant to it.
+        # The cut config is part of the cache key: the cut's coalescing
+        # floor shapes every per-unit noise stream, so two streams
+        # differing only in it must never alias.
         self._cache_profile = (
-            cache_profile(
-                solver,
-                shard_key=(
-                    f"cut(min_pairs={self._shard_executor.min_shard_pairs})"
-                ),
-            )
+            cache_profile(solver, shard_key=f"cut(min_pairs={MIN_SHARD_PAIRS})")
             if self._cache is not None
             else None
         )
@@ -450,7 +367,7 @@ class DispatchSimulator:
 
         Anything still pending either expired inside the horizon or is
         left unresolved (deadline beyond it).  Idempotent; also releases
-        the shard executor.
+        the buffer arena.
         """
         if not self._finalized:
             self._finalized = True
@@ -462,9 +379,7 @@ class DispatchSimulator:
         return self.stats
 
     def close(self) -> None:
-        """Release pooled resources and the buffer arena (idempotent)."""
-        if self._shard_executor is not None:
-            self._shard_executor.close()
+        """Release the buffer arena (idempotent)."""
         if self._workspace is not None:
             self._workspace.release()
 
@@ -615,7 +530,7 @@ class DispatchSimulator:
                     hit = self._cache.lookup(fingerprint)
                     cache_hit = hit is not None
                     tracer.event("cache.hit" if cache_hit else "cache.miss")
-            plan = None
+            mode = "cache"
             if hit is not None:
                 with stopwatch() as solve_watch:
                     result, shards = hit
@@ -639,12 +554,16 @@ class DispatchSimulator:
                     )
                 pairs_count = instance.num_feasible_pairs
                 with stopwatch() as solve_watch:
-                    # The executor records its own flush.cut / plan /
-                    # build / solve / merge phases at this depth.
-                    result, cut, plan = self._shard_executor.solve_planned(
-                        instance, ShardSeedSchedule(noise_key)
+                    # solve_flush records its own flush.cut / build /
+                    # solve / merge phases at this depth.
+                    result, cut, mode = solve_flush(
+                        self.solver,
+                        instance,
+                        ShardSeedSchedule(noise_key),
+                        workspace=self._workspace,
+                        tracer=tracer,
                     )
-                    shards = max(cut.num_components, 1)
+                    shards = cut.num_components
             solver_seconds = solve_watch.seconds
             if fingerprint is not None and hit is None:
                 with tracer.span("flush.cache"):
@@ -652,9 +571,7 @@ class DispatchSimulator:
                     tracer.event("cache.store")
 
             with tracer.span("flush.commit"):
-                self.batcher.observe_flush(
-                    solver_seconds, len(open_tasks), pairs=pairs_count
-                )
+                self.batcher.observe_flush(solver_seconds, len(open_tasks))
                 self.tracker.charge(result.ledger)
                 window_spend = None
                 if self.tracker.windowed:
@@ -721,16 +638,8 @@ class DispatchSimulator:
                 flush_seconds=flush_watch.seconds,
                 phase_seconds=phase_seconds,
                 pairs=pairs_count,
-                planned_mode=plan.label if plan is not None else "cache",
-                predicted_seconds=(
-                    plan.predicted_seconds if plan is not None else 0.0
-                ),
+                planned_mode=mode,
                 window_spend=window_spend,
-                degraded=(
-                    self._shard_executor.last_degraded
-                    if plan is not None
-                    else None
-                ),
             )
         )
         self._flush_index += 1

@@ -60,27 +60,73 @@ class TestValidation:
             SolveOptions().seed = 5
 
     def test_replace_revalidates(self):
-        options = SolveOptions(shards=4)
-        assert options.replace(parallel="thread").parallel == "thread"
+        options = SolveOptions(max_batch_size=4)
+        assert options.replace(max_wait=0.5).max_wait == 0.5
         with pytest.raises(ConfigurationError):
             options.replace(sweep="nope")
 
     def test_one_validation_path_matches_stream_config(self):
         """The same bad knob fails identically at either entry point."""
         with pytest.raises(ConfigurationError) as from_options:
-            SolveOptions(parallel="fork", shards=2)
+            SolveOptions(timeline_limit=3)
         with pytest.raises(ConfigurationError) as from_config:
-            StreamConfig(parallel="fork", shards=2)
+            StreamConfig(timeline_limit=3)
         assert str(from_options.value) == str(from_config.value)
 
     def test_mode_tuples_are_the_single_source(self):
-        from repro.stream.shards import PARALLEL_MODES as shard_modes
-
-        assert shard_modes is PARALLEL_MODES
+        assert PARALLEL_MODES == ("off", "thread", "process")
         assert set(SWEEP_MODES) == {"auto", "vectorized", "scalar"}
 
 
+class TestDeprecatedShardKeys:
+    """``shards`` / ``parallel`` / ``max_shard_workers``: inert, validated
+    as before, and announced once per construction when set."""
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            ({"shards": -1}, "shards must be >= 0, got -1"),
+            (
+                {"parallel": "bogus"},
+                "unknown parallel mode 'bogus'; choose from ('off', 'thread', 'process')",
+            ),
+            ({"max_shard_workers": 0}, "max_shard_workers must be >= 1, got 0"),
+        ],
+    )
+    def test_invalid_values_raise_as_before(self, bad, message):
+        with pytest.raises(ConfigurationError) as error:
+            SolveOptions(**bad)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "legacy",
+        [
+            {"shards": 0},
+            {"shards": 4},
+            {"parallel": "process"},
+            {"max_shard_workers": 2},
+            {"shards": "auto", "parallel": "process", "max_shard_workers": 2},
+        ],
+    )
+    def test_off_default_value_warns_once(self, legacy):
+        with pytest.warns(DeprecationWarning, match="no effect") as record:
+            options = SolveOptions(**legacy)
+        assert len(record) == 1
+        for name, value in legacy.items():
+            assert getattr(options, name) == value
+
+    def test_defaults_do_not_warn(self, recwarn):
+        SolveOptions(shards="auto", parallel="off", max_shard_workers=None)
+        assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_keys_do_not_reach_the_stream_config(self):
+        legacy = SolveOptions(shards=3, parallel="process", max_shard_workers=2)
+        assert legacy.stream_config() == SolveOptions().stream_config()
+
+
 class TestMappingRoundTrip:
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_to_dict_from_mapping_round_trip(self):
         options = SolveOptions(
             seed=9, sweep="scalar", ppcf=False, shards=2, parallel="thread"
@@ -97,9 +143,6 @@ class TestProjection:
         options = SolveOptions(
             max_batch_size=77,
             max_wait=0.5,
-            shards=3,
-            parallel="thread",
-            max_shard_workers=2,
             adaptive=True,
             target_flush_seconds=0.1,
         )
@@ -107,9 +150,6 @@ class TestProjection:
         assert isinstance(config, StreamConfig)
         assert config.max_batch_size == 77
         assert config.max_wait == 0.5
-        assert config.shards == 3
-        assert config.parallel == "thread"
-        assert config.max_shard_workers == 2
         assert config.adaptive is True
         assert config.target_flush_seconds == 0.1
         assert config.cache is False

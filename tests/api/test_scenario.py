@@ -1,6 +1,8 @@
 """`ScenarioSpec`: declarative experiments that round-trip through JSON."""
 
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,32 @@ class TestJsonRoundTrip:
         spec = ScenarioSpec.from_dict({"arrivals": "bursty"})
         assert spec.arrivals == "bursty"
         assert spec.options == SolveOptions()
+
+
+ROOT = Path(__file__).resolve().parents[2]
+SPEC_FILES = sorted(ROOT.glob("examples/scenario_*.json")) + sorted(
+    ROOT.glob("perfbench/specs/*.json")
+)
+DEPRECATED_DEFAULTS = {"shards": "auto", "parallel": "off", "max_shard_workers": None}
+
+
+class TestShippedSpecs:
+    @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+    def test_spec_loads_and_warns_only_for_deprecated_keys(self, path):
+        """Shipped specs still load, deprecated shard keys and all; only
+        an off-default deprecated key warns, and it warns once."""
+        options = json.loads(path.read_text()).get("options", {})
+        legacy = {
+            key
+            for key, default in DEPRECATED_DEFAULTS.items()
+            if options.get(key, default) != default
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = ScenarioSpec.from_file(path)
+        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
+        assert len(deprecations) == (1 if legacy else 0)
+        assert spec.methods
 
 
 class TestRejection:

@@ -108,7 +108,12 @@ class TestLifecycle:
 
 
 class TestResourceLifecycle:
-    def test_run_closes_the_pool_when_the_solver_raises(self):
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_run_surfaces_solver_errors_in_process(self):
+        """A raising solver fails the run in the caller's own process,
+        even under the deprecated pooled-execution options."""
+        import multiprocessing
+
         class ExplodingSolver:
             name = "BOOM"
             is_private = False
@@ -118,19 +123,13 @@ class TestResourceLifecycle:
 
         session = DispatchSession(
             ExplodingSolver(),
-            options=SolveOptions(shards=1, parallel="thread", max_wait=0.05),
+            options=SolveOptions(shards=2, parallel="process", max_wait=0.05),
         )
         fleet(session)
-        events = [
-            # enough arrivals to force a flush through the exploding solver
-        ]
+        session.submit_task(Task(id=0, location=Point(0.5, 0.0), value=4.5), at=0.01)
         with pytest.raises(RuntimeError, match="exploded"):
-            session.submit_task(
-                Task(id=0, location=Point(0.5, 0.0), value=4.5), at=0.01
-            )
-            session.run(events)
-        # The thread pool must not leak past the failed run.
-        assert session._simulator._shard_executor._pool is None
+            session.run([])
+        assert multiprocessing.active_children() == []
 
     def test_finish_releases_the_workspace_arena(self):
         session = DispatchSession("UCE", options=SolveOptions(max_wait=0.05))

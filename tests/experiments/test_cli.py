@@ -160,23 +160,10 @@ class TestObsCLI:
         assert json.loads(spec.read_text())["options"]["trace"] is True
 
 
-class TestShardsFlag:
-    def test_parses_auto_and_integers(self):
-        import argparse
-
-        from repro.experiments.__main__ import _shards_arg
-
-        assert _shards_arg("auto") == "auto"
-        assert _shards_arg("4") == 4
-        assert _shards_arg("0") == 0
-        with pytest.raises(argparse.ArgumentTypeError, match="integer or 'auto'"):
-            _shards_arg("many")
-
-    def test_stream_accepts_shards_auto(self, capsys):
-        assert main([*STREAM_ARGS, "--shards", "auto"]) == 0
-        out = capsys.readouterr().out
-        assert "plan" in out  # the report's plan column
-
-    def test_stream_accepts_forced_shards(self, capsys):
-        assert main([*STREAM_ARGS, "--shards", "2"]) == 0
-        assert "UCE" in capsys.readouterr().out
+class TestRetiredFlags:
+    @pytest.mark.parametrize("flag", ["--shards", "--parallel", "--flush-timeout"])
+    def test_retired_execution_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([*STREAM_ARGS, flag, "2"])
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err

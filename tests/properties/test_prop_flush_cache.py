@@ -189,7 +189,6 @@ class TestCacheOnOffEquivalence:
                 seed=run_seed,
                 max_batch_size=10,
                 max_wait=0.12,
-                shards=2,
                 cache=cache,
             )
             reports[cache] = StreamRunner(["PUCE"], options=options).run(

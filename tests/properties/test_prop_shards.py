@@ -1,18 +1,18 @@
-"""Shard-cut correctness properties (the sharded-flush executor's pin).
+"""Shard-cut correctness properties (the flush path's pin).
 
 Three families of guarantees:
 
 * the **cut** is a true conflict-free partition — every feasible pair
-  lands in exactly one shard, and no worker or task spans two shards —
+  lands in exactly one unit, and no worker or task spans two units —
   whatever the coalescing threshold;
-* the **merged result** is exact: for non-private methods it equals the
+* the **flush result** is exact: for non-private methods it equals the
   full-instance engine run bit for bit (no noise, component-local
-  dynamics), and for private methods it is identical across shard counts
-  1/2/8 and across sequential/thread/process execution (the per-shard
-  seed schedule is the only noise source);
-* **cross-flush accounting** survives sharding: charging the merged
-  ledger into a :class:`WorkerBudgetTracker` leaves identical per-worker
-  carry whatever the shard count.
+  dynamics), and for every method it is the key-ordered merge of each
+  unit solved alone with its scheduled noise stream (the per-unit seed
+  schedule is the only noise source);
+* **cross-flush accounting** is a function of the merged ledger alone:
+  charging it into a :class:`WorkerBudgetTracker` leaves the same
+  per-worker carry as charging every unit's ledger.
 """
 
 from hypothesis import given, settings
@@ -22,10 +22,11 @@ from repro.core.registry import make_solver
 from repro.datasets.synthetic import NormalGenerator, UniformGenerator
 from repro.stream.batcher import WorkerBudgetTracker
 from repro.stream.shards import (
-    ShardedFlushExecutor,
     ShardSeedSchedule,
     build_shard_instance,
     cut_flush,
+    merge_shard_results,
+    solve_flush,
 )
 
 METHODS = ("PUCE", "PDCE", "UCE", "DCE")
@@ -94,61 +95,67 @@ def test_cut_is_a_conflict_free_partition(
 def test_non_private_sharded_equals_full_engine(
     method, generator_seed, uniform, num_tasks, worker_range
 ):
-    """Without noise, the merged sharded result IS the full-engine result."""
+    """Without noise, the merged flush result IS the full-engine result."""
     instance = generated_instance(generator_seed, uniform, num_tasks, worker_range)
     solver = make_solver(method)
     full = solver.solve(instance, seed=0)
-    schedule = ShardSeedSchedule((0,))
-    for num_shards in (1, 2, 8):
-        merged = ShardedFlushExecutor(solver, num_shards=num_shards).solve(
-            instance, schedule
+    for min_shard_pairs in (0, 192):
+        merged, _, _ = solve_flush(
+            solver, instance, ShardSeedSchedule((0,)), min_shard_pairs=min_shard_pairs
         )
-        assert dict(merged.matching) == dict(full.matching), (method, num_shards)
+        assert dict(merged.matching) == dict(full.matching), (method, min_shard_pairs)
+
+
+def unit_solves(solver, instance, schedule, cut):
+    """Every unit of ``cut`` solved alone with its scheduled noise stream."""
+    return [
+        (
+            component.key,
+            solver.solve(
+                build_shard_instance(instance, component),
+                seed=schedule.generator(component.key),
+            ),
+        )
+        for component in cut.components
+    ]
 
 
 @given(method=st.sampled_from(METHODS), **instance_params)
 @settings(max_examples=15, deadline=None)
-def test_sharded_results_identical_across_counts_and_modes(
+def test_flush_result_is_the_merge_of_unit_solves(
     method, generator_seed, uniform, num_tasks, worker_range
 ):
-    """Shard counts 1/2/8 and thread execution agree bit for bit."""
+    """The cut is the noise schedule: solving the flush equals solving
+    each unit alone with its own generator, merged in key order."""
     instance = generated_instance(generator_seed, uniform, num_tasks, worker_range)
     solver = make_solver(method)
     schedule = ShardSeedSchedule((generator_seed, 7))
-    reference = ShardedFlushExecutor(solver, num_shards=1).solve(instance, schedule)
-    for num_shards in (2, 8):
-        merged = ShardedFlushExecutor(solver, num_shards=num_shards).solve(
-            instance, schedule
-        )
-        assert_results_identical(merged, reference, (method, num_shards))
-    with ShardedFlushExecutor(solver, num_shards=4, parallel="thread") as executor:
-        assert_results_identical(
-            executor.solve(instance, schedule), reference, (method, "thread")
-        )
+    merged, cut, _ = solve_flush(solver, instance, schedule)
+    reference = merge_shard_results(
+        instance, solver.name, unit_solves(solver, instance, schedule, cut), 0.0
+    )
+    assert_results_identical(merged, reference, method)
 
 
 @given(**instance_params)
 @settings(max_examples=10, deadline=None)
-def test_budget_carry_identical_across_shard_counts(
-    generator_seed, uniform, num_tasks, worker_range
-):
+def test_budget_carry_matches_unit_ledgers(generator_seed, uniform, num_tasks, worker_range):
     """WorkerBudgetTracker carry is a pure function of the merged ledger."""
     instance = generated_instance(generator_seed, uniform, num_tasks, worker_range)
     solver = make_solver("PUCE")
     schedule = ShardSeedSchedule((generator_seed, 11))
-    carries = []
-    for num_shards in (1, 2, 8):
-        merged = ShardedFlushExecutor(solver, num_shards=num_shards).solve(
-            instance, schedule
-        )
+    merged, cut, _ = solve_flush(solver, instance, schedule)
+    units = unit_solves(solver, instance, schedule, cut)
+
+    def carry(ledgers):
         tracker = WorkerBudgetTracker()
         for worker in instance.workers:
             tracker.register(worker.id, 1e9)
-        tracker.charge(merged.ledger)
-        carries.append(
-            {worker.id: tracker.spent(worker.id) for worker in instance.workers}
-        )
-    assert carries[0] == carries[1] == carries[2]
+        for ledger in ledgers:
+            tracker.charge(ledger)
+        return {worker.id: tracker.spent(worker.id) for worker in instance.workers}
+
+    assert carry([merged.ledger]) == carry([result.ledger for _, result in units])
 
 
 @given(min_shard_pairs=st.integers(2, 400), **instance_params)
@@ -167,58 +174,3 @@ def test_micro_shortcut_cut_matches_full_route(
         fast = cut_flush(instance, min_shard_pairs=threshold, micro_shortcut=True)
         full = cut_flush(instance, min_shard_pairs=threshold, micro_shortcut=False)
         assert fast == full, threshold
-
-
-@given(
-    method=st.sampled_from(METHODS),
-    generator_seed=st.integers(0, 30),
-    worker_range=st.sampled_from([0.4, 0.8]),
-)
-@settings(max_examples=6, deadline=None)
-def test_shm_and_pickle_transports_identical(method, generator_seed, worker_range):
-    """Forced shm and forced pickle agree with the sequential reference.
-
-    The shm leg deliberately runs below the planner's size floor (the
-    executor-level force overrides it), so the zero-copy path is
-    exercised even on small hypothesis-sized flushes.
-    """
-    from repro.core.workspace import shm_available
-
-    instance = generated_instance(generator_seed, False, 40, worker_range)
-    solver = make_solver(method)
-    schedule = ShardSeedSchedule((generator_seed, 13))
-    reference = ShardedFlushExecutor(solver, num_shards=1, min_shard_pairs=8).solve(
-        instance, schedule
-    )
-    for transport in ("shm", "pickle"):
-        if transport == "shm" and not shm_available():
-            continue
-        with ShardedFlushExecutor(
-            solver,
-            num_shards=2,
-            parallel="process",
-            max_workers=2,
-            min_shard_pairs=8,
-            transport=transport,
-        ) as executor:
-            merged = executor.solve(instance, schedule)
-        assert_results_identical(merged, reference, (method, transport))
-
-
-def test_process_parallel_matches_sequential_reference():
-    """One (slow to spawn) process-pool run agrees with the sequential path."""
-    instance = NormalGenerator(num_tasks=50, num_workers=100, seed=5).instance(
-        task_value=4.5, worker_range=0.6
-    )
-    solver = make_solver("PUCE")
-    schedule = ShardSeedSchedule((5, 3))
-    # min_shard_pairs shapes the cut (and so the per-unit noise streams):
-    # the sequential reference must use the same threshold.
-    reference = ShardedFlushExecutor(solver, num_shards=1, min_shard_pairs=8).solve(
-        instance, schedule
-    )
-    with ShardedFlushExecutor(
-        solver, num_shards=4, parallel="process", max_workers=2, min_shard_pairs=8
-    ) as executor:
-        merged = executor.solve(instance, schedule)
-    assert_results_identical(merged, reference, "process")

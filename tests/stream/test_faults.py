@@ -1,18 +1,14 @@
-"""Deterministic fault injection: plan semantics, the flush degradation
-ladder, worker churn, and corrupt-snapshot tolerance.
+"""Deterministic fault injection: plan semantics, worker churn, and
+corrupt-snapshot tolerance.
 
 The load-bearing invariant throughout: every *masked* fault kind
-(``MASKED_FAULT_KINDS``) changes only latency, never results — the cut
-defines all noise streams, so each ladder rung solves the exact same
-problem.  ``worker_departure`` is the deliberate exception.
+(``MASKED_FAULT_KINDS``) changes only latency, never results.
+``worker_departure`` is the deliberate exception.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.nonprivate import UCESolver
-from repro.core.registry import make_solver
-from repro.core.workspace import shm_available
 from repro.datasets.synthetic import NormalGenerator
 from repro.datasets.workload import Task, Worker
 from repro.errors import ConfigurationError, InjectedFault
@@ -26,26 +22,24 @@ from repro.faults import (
     set_fault_plan,
     smoke_plan,
 )
-from repro.simulation.instance import ProblemInstance
 from repro.spatial.geometry import Point
 from repro.stream.arrivals import PoissonProcess, StreamWorkload
 from repro.stream.cache import FlushSolverCache
 from repro.stream.events import TaskArrival, WorkerArrival, WorkerDeparture
-from repro.stream.shards import ShardedFlushExecutor, ShardSeedSchedule
 from repro.stream.simulator import DispatchSimulator, StreamConfig
 from tests.conftest import line_instance
 
 
 class TestFaultPlan:
     def test_resolve_accepts_every_spec_form(self):
-        plan = FaultPlan(seed=7, rates={"pool_crash": 0.5})
+        plan = FaultPlan(seed=7, rates={"queue_stall": 0.5})
         assert FaultPlan.resolve(None) is None
         assert FaultPlan.resolve(plan) is plan
         assert FaultPlan.resolve(plan.to_dict()) == plan
         assert FaultPlan.resolve("smoke") == smoke_plan()
         for off in ("", "off", "none", "  off  "):
             assert FaultPlan.resolve(off) is None
-        assert FaultPlan.resolve('{"seed": 7, "rates": {"pool_crash": 0.5}}') == plan
+        assert FaultPlan.resolve('{"seed": 7, "rates": {"queue_stall": 0.5}}') == plan
 
     def test_resolve_rejects_garbage(self):
         with pytest.raises(ConfigurationError):
@@ -61,59 +55,59 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan(rates={"meteor_strike": 0.1})
         with pytest.raises(ConfigurationError):
-            FaultPlan(rates={"pool_crash": 1.5})
+            FaultPlan(rates={"queue_stall": 1.5})
         with pytest.raises(ConfigurationError):
             FaultPlan().should_fire("meteor_strike")
 
     def test_firing_is_deterministic(self):
-        plan = FaultPlan(seed=3, rates={"pool_crash": 0.5})
-        twin = FaultPlan(seed=3, rates={"pool_crash": 0.5})
+        plan = FaultPlan(seed=3, rates={"queue_stall": 0.5})
+        twin = FaultPlan(seed=3, rates={"queue_stall": 0.5})
         draws = [
-            plan.should_fire("pool_crash", key=(k,), site="pool.submit")
+            plan.should_fire("queue_stall", key=(k,), site="service.consume")
             for k in range(64)
         ]
         assert draws == [
-            plan.should_fire("pool_crash", key=(k,), site="pool.submit")
+            plan.should_fire("queue_stall", key=(k,), site="service.consume")
             for k in range(64)
         ]
         assert draws == [
-            twin.should_fire("pool_crash", key=(k,), site="pool.submit")
+            twin.should_fire("queue_stall", key=(k,), site="service.consume")
             for k in range(64)
         ]
         # ~0.5 rate actually fires sometimes and spares sometimes.
         assert any(draws) and not all(draws)
         # A different seed sees a different schedule.
-        other = FaultPlan(seed=4, rates={"pool_crash": 0.5})
+        other = FaultPlan(seed=4, rates={"queue_stall": 0.5})
         assert draws != [
-            other.should_fire("pool_crash", key=(k,), site="pool.submit")
+            other.should_fire("queue_stall", key=(k,), site="service.consume")
             for k in range(64)
         ]
 
     def test_sites_and_kinds_are_independent_draws(self):
-        plan = FaultPlan(seed=0, rates={"pool_crash": 0.5, "shm_attach": 0.5})
-        submit = [plan.should_fire("pool_crash", (k,), "pool.submit") for k in range(64)]
-        watchdog = [
-            plan.should_fire("pool_crash", (k,), "pool.watchdog") for k in range(64)
+        plan = FaultPlan(seed=0, rates={"queue_stall": 0.5, "snapshot_corrupt": 0.5})
+        consume = [plan.should_fire("queue_stall", (k,), "service.consume") for k in range(64)]
+        apply = [plan.should_fire("queue_stall", (k,), "service.apply") for k in range(64)]
+        other_kind = [
+            plan.should_fire("snapshot_corrupt", (k,), "service.consume") for k in range(64)
         ]
-        shm = [plan.should_fire("shm_attach", (k,), "pool.submit") for k in range(64)]
-        assert submit != watchdog
-        assert submit != shm
+        assert consume != apply
+        assert consume != other_kind
 
     def test_rate_endpoints(self):
-        never = FaultPlan(seed=0, rates={"pool_crash": 0.0})
-        always = FaultPlan(seed=0, rates={"pool_crash": 1.0})
-        assert not any(never.should_fire("pool_crash", (k,)) for k in range(32))
-        assert all(always.should_fire("pool_crash", (k,)) for k in range(32))
+        never = FaultPlan(seed=0, rates={"queue_stall": 0.0})
+        always = FaultPlan(seed=0, rates={"queue_stall": 1.0})
+        assert not any(never.should_fire("queue_stall", (k,)) for k in range(32))
+        assert all(always.should_fire("queue_stall", (k,)) for k in range(32))
         # Unrated kinds never fire.
-        assert not always.should_fire("shm_attach", (0,))
+        assert not always.should_fire("snapshot_corrupt", (0,))
 
     def test_fire_raises_typed_fault(self):
-        plan = FaultPlan(rates={"shm_attach": 1.0})
+        plan = FaultPlan(rates={"snapshot_corrupt": 1.0})
         with pytest.raises(InjectedFault) as err:
-            plan.fire("shm_attach", key=(1, 2), site="arena.attach")
-        assert err.value.kind == "shm_attach"
-        assert err.value.site == "arena.attach"
-        plan.fire("pool_crash")  # unrated: no-op
+            plan.fire("snapshot_corrupt", key=(1, 2), site="cache.load")
+        assert err.value.kind == "snapshot_corrupt"
+        assert err.value.site == "cache.load"
+        plan.fire("queue_stall")  # unrated: no-op
 
     def test_env_and_explicit_activation(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -138,86 +132,6 @@ class TestFaultPlan:
         assert set(smoke_plan().rates) <= set(MASKED_FAULT_KINDS)
         assert "worker_departure" in FAULT_KINDS
         assert "worker_departure" not in MASKED_FAULT_KINDS
-
-
-def clustered_instance(num_clusters=4, tasks_per=8, workers_per=5):
-    """Well-separated clusters -> a multi-component cut even at floor 0."""
-    rng = np.random.default_rng(0)
-    tasks, workers = [], []
-    for cluster in range(num_clusters):
-        cx = 100.0 * cluster
-        for _ in range(tasks_per):
-            x, y = rng.uniform(-2.0, 2.0, size=2)
-            tasks.append(
-                Task(id=len(tasks), location=Point(cx + x, y), value=4.5)
-            )
-        for _ in range(workers_per):
-            x, y = rng.uniform(-2.0, 2.0, size=2)
-            workers.append(
-                Worker(id=1000 + len(workers), location=Point(cx + x, y), radius=6.0)
-            )
-    return ProblemInstance.build(tasks, workers, seed=0)
-
-
-def ladder_executor(fault_plan=None, transport="auto", flush_timeout=None):
-    return ShardedFlushExecutor(
-        make_solver("PUCE"),
-        num_shards=4,
-        parallel="process",
-        min_shard_pairs=0,
-        transport=transport,
-        flush_timeout=flush_timeout,
-        fault_plan=fault_plan,
-    )
-
-
-class TestDegradationLadder:
-    """Every rung solves the same cut: results are bit-identical."""
-
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        instance = clustered_instance()
-        schedule = ShardSeedSchedule(base=(3, 0, 7))
-        with ladder_executor() as executor:
-            result = executor.solve(instance, schedule)
-            assert executor.last_degraded is None
-        return instance, schedule, dict(result.matching), list(result.ledger.events())
-
-    def check_identical(self, baseline, executor):
-        instance, schedule, matching, events = baseline
-        with executor:
-            result = executor.solve(instance, schedule)
-            chain = executor.last_degraded
-        assert dict(result.matching) == matching
-        assert list(result.ledger.events()) == events
-        return chain
-
-    def test_pool_crash_degrades_to_sequential_bit_identically(self, baseline):
-        plan = FaultPlan(seed=1, rates={"pool_crash": 1.0})
-        chain = self.check_identical(baseline, ladder_executor(fault_plan=plan))
-        assert chain is not None
-        assert chain.startswith("proc:") and chain.endswith("seq")
-
-    def test_solver_timeout_degrades_bit_identically(self, baseline):
-        plan = FaultPlan(seed=1, rates={"solver_timeout": 1.0})
-        chain = self.check_identical(baseline, ladder_executor(fault_plan=plan))
-        assert chain is not None and chain.endswith("seq")
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory")
-    def test_shm_attach_falls_back_to_pickle_bit_identically(self, baseline):
-        plan = FaultPlan(seed=1, rates={"shm_attach": 1.0})
-        chain = self.check_identical(
-            baseline, ladder_executor(fault_plan=plan, transport="shm")
-        )
-        assert chain is not None
-        assert "+shm" in chain.split("->")[0]
-        assert "+shm" not in chain.split("->")[1]
-
-    def test_sparse_faults_recover_without_degrading_everything(self, baseline):
-        # A low-rate plan: some flushes hit the respawn path, yet the
-        # result never changes and the ladder only walks where needed.
-        plan = FaultPlan(seed=2, rates={"pool_crash": 0.3})
-        self.check_identical(baseline, ladder_executor(fault_plan=plan))
 
 
 def churn_stream_config(**overrides):
@@ -310,48 +224,6 @@ class TestWorkerChurn:
         assert faulty_log == again_log
         assert faulty_stats.assigned == again_stats.assigned
         assert faulty_log != clean_log
-
-
-class TestDegradedFlushRecords:
-    def test_flush_record_carries_the_ladder_walk(self):
-        plan = FaultPlan(seed=1, rates={"pool_crash": 1.0})
-
-        def run(fault_plan):
-            sim = DispatchSimulator(
-                UCESolver(),
-                config=churn_stream_config(
-                    max_batch_size=64, shards=4, parallel="process"
-                ),
-                record_assignments=True,
-            )
-            # The stock executor's coalescing floor folds a test-sized
-            # flush into one unit (no pool, no fault sites); re-arm it
-            # with floor 0 so the ladder actually engages.
-            sim._shard_executor = ShardedFlushExecutor(
-                sim.solver,
-                num_shards=4,
-                parallel="process",
-                min_shard_pairs=0,
-                fault_plan=fault_plan,
-            )
-            instance = clustered_instance(num_clusters=3, tasks_per=4, workers_per=3)
-            events = [
-                WorkerArrival(time=0.0, worker=w) for w in instance.workers
-            ] + [
-                TaskArrival(time=0.01, task=t, deadline=1.0) for t in instance.tasks
-            ]
-            stats = sim.run(events)
-            return stats, list(sim.assignment_log)
-
-        faulty_stats, faulty_log = run(plan)
-        clean_stats, clean_log = run(None)
-        degraded = [f.degraded for f in faulty_stats.flushes if f.degraded]
-        assert degraded and all(chain.endswith("seq") for chain in degraded)
-        assert all(f.degraded is None for f in clean_stats.flushes)
-        # Masked fault: the dispatch outcome is bit-identical.
-        assert faulty_log == clean_log
-        assert faulty_stats.assigned == clean_stats.assigned
-        assert faulty_stats.total_privacy_spend == clean_stats.total_privacy_spend
 
 
 class TestDeparturesKnob:

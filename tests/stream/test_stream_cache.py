@@ -95,16 +95,15 @@ class TestPlannedCutInTheKey:
     def test_simulator_cache_key_carries_the_cut_config(self):
         """Two streams differing only in the cut's coalescing floor must
         never alias: the simulator bakes ``cut(min_pairs=N)`` into the
-        cache profile (the plan's mode/slots/transport stay out — results
-        are invariant to them)."""
+        cache profile.  The string is part of persisted snapshot keys, so
+        it must not change while the floor does not."""
         from repro.stream.simulator import DispatchSimulator, StreamConfig
 
         simulator = DispatchSimulator(
             UCESolver(),
             config=StreamConfig(cache=True),
         )
-        floor = simulator._shard_executor.min_shard_pairs
-        assert f"cut(min_pairs={floor})" in simulator._cache_profile.method_key
+        assert "cut(min_pairs=192)" in simulator._cache_profile.method_key
         a = cache_profile(UCESolver(), shard_key="cut(min_pairs=192)")
         b = cache_profile(UCESolver(), shard_key="cut(min_pairs=64)")
         assert a.method_key != b.method_key
@@ -134,6 +133,15 @@ class TestDutyCycleScenario:
         assert puce.cache_hits == 0
         assert puce.cache_misses == 0
         assert all(f.cache_hit is None for f in puce.flushes)
+
+    def test_cache_served_flushes_are_labelled_cache(self):
+        # duty_cycle ships with cache=true and UCE is cache-eligible.
+        stats = ScenarioSpec.from_file("examples/scenario_duty_cycle.json").run()["UCE"]
+        assert stats.cache_hits > 0
+        served = [f for f in stats.flushes if f.planned_mode == "cache"]
+        assert len(served) == stats.cache_hits
+        assert all(f.cache_hit for f in served)
+        assert "cache" in stats.plan_summary
 
     def test_rush_hour_scenario_enables_the_cache(self):
         spec = ScenarioSpec.from_file("examples/scenario_rush_hour.json")

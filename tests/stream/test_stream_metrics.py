@@ -139,3 +139,12 @@ class TestPhaseBreakdowns:
         stats = StreamStats("UCE")
         stats.update(flush_record(0))
         assert stats.top_phase == "-"
+
+
+class TestPlanSummary:
+    def test_plan_summary_counts_by_first_seen_mode(self):
+        stats = StreamStats(method="UCE")
+        for index, mode in enumerate(["uns", "uns", "seq", "uns"]):
+            stats.flushes.append(flush_record(index, planned_mode=mode))
+        assert stats.plan_summary == "uns:3 seq:1"
+        assert StreamStats(method="UCE").plan_summary == "-"

@@ -1,11 +1,9 @@
-"""Unit tests for the sharded flush executor and its stream wiring."""
-
-import os
+"""Unit tests for the flush cut, its in-process solve and its stream wiring."""
 
 import pytest
 
+from repro.api.options import SolveOptions
 from repro.core.registry import make_solver
-from repro.core.workspace import shm_available
 from repro.datasets.synthetic import NormalGenerator
 from repro.datasets.workload import Task, Worker
 from repro.errors import ConfigurationError, InvalidInstanceError
@@ -18,14 +16,11 @@ from repro.stream import (
     StreamWorkload,
 )
 from repro.stream.shards import (
-    _WARM_POOLS,
-    _warm_pool,
-    ShardedFlushExecutor,
     ShardSeedSchedule,
     build_shard_instance,
     cut_flush,
     merge_shard_results,
-    shutdown_warm_pools,
+    solve_flush,
 )
 
 
@@ -128,17 +123,13 @@ class TestSubInstances:
 
 
 class TestExecutor:
-    def test_invalid_parameters(self):
-        solver = make_solver("UCE")
-        with pytest.raises(ConfigurationError):
-            ShardedFlushExecutor(solver, num_shards=0)
-        with pytest.raises(ConfigurationError):
-            ShardedFlushExecutor(solver, parallel="fork-bomb")
+    """:func:`solve_flush`: one flush's cut, solved unit by unit in-process."""
 
     def test_empty_flush_solves_to_empty_result(self):
         instance = ProblemInstance.build([], [], seed=0)
-        executor = ShardedFlushExecutor(make_solver("PUCE"))
-        result = executor.solve(instance, ShardSeedSchedule((0,)))
+        result, cut, mode = solve_flush(make_solver("PUCE"), instance, ShardSeedSchedule((0,)))
+        assert cut.num_components == 0
+        assert mode == "seq"
         assert result.matched_count == 0
         assert result.publishes == 0
         assert result.total_privacy_spend == 0.0
@@ -146,9 +137,11 @@ class TestExecutor:
     def test_merged_result_aggregates_counters(self):
         instance = two_cluster_instance()
         solver = make_solver("PUCE")
-        executor = ShardedFlushExecutor(solver, num_shards=2, min_shard_pairs=0)
-        merged, cut = executor.solve_with_cut(instance, ShardSeedSchedule((0,)))
+        merged, cut, mode = solve_flush(
+            solver, instance, ShardSeedSchedule((0,)), min_shard_pairs=0
+        )
         assert cut.num_components == 2
+        assert mode == "seq"
         parts = [
             solver.solve(
                 build_shard_instance(instance, component),
@@ -158,16 +151,13 @@ class TestExecutor:
         ]
         assert merged.publishes == sum(p.publishes for p in parts)
         assert merged.rounds == max(p.rounds for p in parts)
-        assert dict(merged.matching) == {
-            t: w for p in parts for t, w in p.matching
-        }
+        assert dict(merged.matching) == {t: w for p in parts for t, w in p.matching}
 
     def test_merge_orders_ledger_by_component_key(self):
         instance = two_cluster_instance()
         solver = make_solver("PUCE")
-        executor = ShardedFlushExecutor(solver, num_shards=2, min_shard_pairs=0)
-        merged, cut = executor.solve_with_cut(instance, ShardSeedSchedule((0,)))
         schedule = ShardSeedSchedule((0,))
+        merged, cut, _ = solve_flush(solver, instance, schedule, min_shard_pairs=0)
         keyed = [
             (
                 component.key,
@@ -190,10 +180,10 @@ class TestExecutor:
             task_value=4.5, worker_range=1.4
         )
         solver = make_solver(method)
-        executor = ShardedFlushExecutor(solver, num_shards=4)
         schedule = ShardSeedSchedule((4, 1))
-        merged, cut = executor.solve_with_cut(instance, schedule)
+        merged, cut, mode = solve_flush(solver, instance, schedule)
         assert cut.num_components == 1
+        assert mode == "uns"
         assert cut.orphan_workers  # the interesting case: orphans present
         component = cut.components[0]
         slow = solver.solve(
@@ -207,16 +197,13 @@ class TestExecutor:
 
     def test_matched_pairs_evaluate_on_the_full_instance(self):
         instance = two_cluster_instance()
-        executor = ShardedFlushExecutor(make_solver("UCE"), num_shards=2)
-        merged = executor.solve(instance, ShardSeedSchedule((0,)))
+        merged, _, _ = solve_flush(
+            make_solver("UCE"), instance, ShardSeedSchedule((0,)), min_shard_pairs=0
+        )
         full = make_solver("UCE").solve(instance, seed=0)
         assert {
-            (p.task_id, p.worker_id, p.distance, p.utility)
-            for p in merged.matched_pairs()
-        } == {
-            (p.task_id, p.worker_id, p.distance, p.utility)
-            for p in full.matched_pairs()
-        }
+            (p.task_id, p.worker_id, p.distance, p.utility) for p in merged.matched_pairs()
+        } == {(p.task_id, p.worker_id, p.distance, p.utility) for p in full.matched_pairs()}
 
 
 class TestStreamWiring:
@@ -231,14 +218,14 @@ class TestStreamWiring:
             seed=seed,
         )
 
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_stream_stats_identical_across_shard_counts(self):
-        workload = self._workload()
-        events = workload.events(seed=0)
+        """The deprecated ``shards`` option has no effect on a stream."""
+        events = self._workload().events(seed=0)
         outcomes = []
-        for shards in (1, 2, 8):
-            config = StreamConfig(max_batch_size=25, max_wait=0.2, shards=shards)
-            report = StreamRunner(["PUCE"], config=config).run(events, seed=0)
-            stats = report["PUCE"]
+        for shards in ("auto", 1, 2, 8):
+            options = SolveOptions(max_batch_size=25, max_wait=0.2, shards=shards)
+            stats = StreamRunner(["PUCE"], options=options).run(events, seed=0)["PUCE"]
             outcomes.append(
                 (
                     stats.assigned,
@@ -246,27 +233,40 @@ class TestStreamWiring:
                     tuple(stats.latencies),
                     stats.total_privacy_spend,
                     tuple(sorted(stats.per_worker_spend.items())),
+                    tuple(f.shards for f in stats.flushes),
                 )
             )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert all(outcome == outcomes[0] for outcome in outcomes)
 
     def test_flush_records_report_shards_and_batch_limit(self):
         workload = self._workload()
-        config = StreamConfig(max_batch_size=25, max_wait=0.2, shards=2)
+        config = StreamConfig(max_batch_size=25, max_wait=0.2)
         report = StreamRunner(["UCE"], config=config).run(workload.events(seed=0), seed=0)
         records = report["UCE"].flushes
-        assert records
-        assert all(f.shards >= 1 for f in records)
+        assert any(f.pairs == 0 for f in records)
+        assert all((f.shards == 0) == (f.pairs == 0) for f in records)
         assert all(f.batch_limit == 25 for f in records)
 
+    def test_flush_records_carry_the_solve_mode(self):
+        workload = self._workload()
+        config = StreamConfig(max_batch_size=25, max_wait=0.2)
+        stats = StreamRunner(["PUCE"], config=config).run(workload.events(seed=0), seed=0)[
+            "PUCE"
+        ]
+        assert {f.planned_mode for f in stats.flushes} <= {"uns", "seq"}
+        assert all((f.planned_mode == "uns") == (f.shards == 1) for f in stats.flushes)
+        assert all(f.degraded is None for f in stats.flushes)
+        assert stats.plan_summary != "-"
+
     def test_parallel_requires_shards(self):
-        # Under shards="auto" (the default) parallel merely constrains the
-        # planner; only a forced-unsharded config rejects a parallel mode.
+        # The deprecated keys are still validated exactly as before they
+        # went inert: only a forced-unsharded config rejects a parallel mode.
         with pytest.raises(ConfigurationError, match="requires shards"):
-            StreamConfig(shards=0, parallel="thread")
+            SolveOptions(shards=0, parallel="thread")
         with pytest.raises(ConfigurationError, match="parallel mode"):
-            StreamConfig(shards=2, parallel="bogus")
-        StreamConfig(parallel="thread")  # auto: valid, restricts the planner
+            SolveOptions(shards=2, parallel="bogus")
+        with pytest.warns(DeprecationWarning):
+            SolveOptions(parallel="thread")
 
     def test_adaptive_shrinks_to_floor_under_impossible_target(self):
         """A target no flush can meet walks the limit down to the floor."""
@@ -290,144 +290,3 @@ class TestStreamWiring:
         config = StreamConfig(max_batch_size=25, max_wait=0.2)
         report = StreamRunner(["UCE"], config=config).run(workload.events(seed=0), seed=0)
         assert {f.batch_limit for f in report["UCE"].flushes} == {25}
-
-
-class _ExplodingSolver:
-    """Picklable stand-in that raises inside the pool worker."""
-
-    name = "EXPLODE"
-    is_private = False
-
-    def solve(self, instance, seed=None, **kwargs):
-        raise RuntimeError("shard solver exploded")
-
-
-class _WorkerKillingSolver:
-    """Picklable UCE wrapper that kills any pool worker it runs in.
-
-    In the parent process it solves normally — the shape of a crash
-    that is environmental (a worker OOM-killed, a poisoned pool) rather
-    than a deterministic solver bug, which is exactly the case the
-    degradation ladder exists to absorb.
-    """
-
-    name = "UCE"
-    is_private = False
-
-    def solve(self, instance, seed=None, **kwargs):
-        import multiprocessing as _mp
-        import os as _os
-
-        if _mp.parent_process() is not None:
-            _os._exit(1)
-        return make_solver("UCE").solve(instance, seed=seed, **kwargs)
-
-
-class TestTransportAndFailurePaths:
-    """The zero-copy transport's lifecycle guarantees (ISSUE 7)."""
-
-    def test_invalid_transport_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard transport"):
-            ShardedFlushExecutor(make_solver("UCE"), transport="carrier-pigeon")
-
-    @pytest.mark.skipif(not shm_available(), reason="no shared memory on host")
-    def test_pooled_failure_unlinks_shm_and_shuts_pool_down(self):
-        """A raising shard solve leaks neither /dev/shm space nor a pool."""
-        instance = two_cluster_instance()
-        before = set(os.listdir("/dev/shm"))
-        pool = _warm_pool("process", 2)  # pre-warm so the discard is observable
-        executor = ShardedFlushExecutor(
-            _ExplodingSolver(),
-            num_shards=2,
-            parallel="process",
-            max_workers=2,
-            min_shard_pairs=1,
-            transport="shm",
-        )
-        with pytest.raises(RuntimeError, match="exploded"):
-            executor.solve(instance, ShardSeedSchedule((3,)))
-        # The arena staged planes (the failure happened mid-solve) and the
-        # failure path unlinked its segment again.
-        assert executor._arena is not None
-        assert executor._arena.segment_name is None
-        assert set(os.listdir("/dev/shm")) <= before
-        # The possibly-poisoned pool left the warm registry, shut down.
-        assert ("process", 2) not in _WARM_POOLS
-        with pytest.raises(RuntimeError):
-            pool.submit(int)
-
-    def test_worker_crash_respawns_then_degrades_to_sequential(self):
-        """A persistently dying pool walks the ladder and still flushes.
-
-        Every submit breaks the pool, so the executor burns its capped
-        respawn attempts (each one traced), gives the pooled rung up,
-        and re-runs the same cut sequentially in-process — bit-identical
-        to a clean single-shard solve, with the walk recorded in
-        ``last_degraded``.
-        """
-        from repro.obs.tracer import Tracer
-
-        instance = two_cluster_instance()
-        schedule = ShardSeedSchedule((3,))
-        reference = ShardedFlushExecutor(
-            make_solver("UCE"), num_shards=1, min_shard_pairs=1
-        ).solve(instance, schedule)
-        tracer = Tracer()
-        executor = ShardedFlushExecutor(
-            _WorkerKillingSolver(),
-            num_shards=2,
-            parallel="process",
-            max_workers=2,
-            min_shard_pairs=1,
-            transport="pickle",
-            tracer=tracer,
-        )
-        merged = executor.solve(instance, schedule)
-        respawns = [s for s in tracer.spans if s.name == "pool.respawn"]
-        assert len(respawns) == ShardedFlushExecutor.POOL_RESPAWN_ATTEMPTS
-        assert executor.last_degraded is not None
-        assert executor.last_degraded.startswith("proc")
-        assert executor.last_degraded.endswith("seq")
-        assert ("process", 2) not in _WARM_POOLS
-        assert dict(merged.matching) == dict(reference.matching)
-        assert list(merged.ledger.events()) == list(reference.ledger.events())
-
-    def test_forced_shm_falls_back_to_pickle_when_unavailable(self, monkeypatch):
-        """transport='shm' on a host without shm degrades, bit-identically."""
-        import repro.stream.shards as shards_module
-
-        instance = two_cluster_instance()
-        schedule = ShardSeedSchedule((5,))
-        solver = make_solver("PUCE")
-        reference = ShardedFlushExecutor(
-            solver, num_shards=1, min_shard_pairs=1
-        ).solve(instance, schedule)
-        monkeypatch.setattr(shards_module, "shm_available", lambda: False)
-        with ShardedFlushExecutor(
-            solver,
-            num_shards=2,
-            parallel="process",
-            max_workers=2,
-            min_shard_pairs=1,
-            transport="shm",
-        ) as executor:
-            merged = executor.solve(instance, schedule)
-        assert executor._arena is None  # nothing was ever staged
-        assert dict(merged.matching) == dict(reference.matching)
-        assert list(merged.ledger.events()) == list(reference.ledger.events())
-
-    def test_close_keeps_the_pool_warm_for_the_next_stream(self):
-        instance = two_cluster_instance()
-        schedule = ShardSeedSchedule((7,))
-        kwargs = dict(
-            num_shards=2, parallel="process", max_workers=2, min_shard_pairs=1
-        )
-        with ShardedFlushExecutor(make_solver("UCE"), **kwargs) as first:
-            first.solve(instance, schedule)
-        pool = _WARM_POOLS.get(("process", 2))
-        assert pool is not None  # close() left it warm
-        with ShardedFlushExecutor(make_solver("UCE"), **kwargs) as second:
-            second.solve(instance, schedule)
-        assert _WARM_POOLS.get(("process", 2)) is pool  # reused, not respawned
-        shutdown_warm_pools()
-        assert not _WARM_POOLS
