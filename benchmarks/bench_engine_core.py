@@ -1,12 +1,13 @@
-"""Solver-core throughput: vectorized vs scalar WorkerProposal sweeps.
+"""Solver-core throughput: the vectorized engine vs the scalar reference.
 
 The conflict-elimination engine is the hot path of every method in the
 paper and of every micro-batch flush in the streaming layer.  This bench
 pins its throughput trajectory across PRs: each engine solves the
-``bench_scaling``-sized instances with both sweep implementations, and
-the measured series — wall time, feasible-pairs-per-second, and the
-vectorized/scalar speedup — is written to ``BENCH_core.json`` at the
-repository root.
+``bench_scaling``-sized instances on its vectorized runtime path and on
+the agent-at-a-time reference sweep (``tests/reference/``, the paper's
+per-proposal model), and the measured series — wall time,
+feasible-pairs-per-second, and the vectorized/scalar speedup — is
+written to ``BENCH_core.json`` at the repository root.
 
 Scale knobs: ``REPRO_BENCH_CORE_SIZES`` (comma-separated task counts,
 default ``100,200,400``) and ``REPRO_BENCH_SMOKE=1``, which also skips
@@ -26,11 +27,10 @@ import pytest
 from benchmarks.conftest import bench_seed, emit_table, min_time
 from repro.core.registry import make_solver
 from repro.experiments.sweeps import make_generator
+from tests.reference.scalar_sweep import ScalarSweepSolver
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
-# Sweep variants are named the way every other layer names them: by
-# method-spec string (repro.api.MethodSpec), e.g. "UCE(sweep=scalar)".
 ENGINES = ("PUCE", "PDCE", "UCE", "DCE")
 
 
@@ -63,8 +63,9 @@ def core_rows():
         generator = make_generator("normal", size, 2 * size, bench_seed())
         instance = generator.instance()
         for method in ENGINES:
-            vectorized = min_time(make_solver(f"{method}(sweep=vectorized)"), instance)
-            scalar = min_time(make_solver(f"{method}(sweep=scalar)"), instance)
+            solver = make_solver(method)
+            vectorized = min_time(solver, instance)
+            scalar = min_time(ScalarSweepSolver.like(solver), instance)
             rows.append(
                 {
                     "method": method,

@@ -12,8 +12,7 @@ fixed cost under two regimes and records the ratio later PRs must hold:
   buffers;
 * **reuse** — the live hot path: brute-force micro reachability with a
   single batched budget draw and direct array assembly, lazy views, and
-  a solve through one shared :class:`~repro.core.workspace.
-  EngineWorkspace` arena.
+  the engine's solve.
 
 It also runs the checked-in duty-cycle scenario with the
 flush-fingerprint solver cache off and on (``examples/
@@ -45,7 +44,6 @@ from repro.api.scenario import ScenarioSpec
 from repro.core.budgets import BudgetSampler
 from repro.core.nonprivate import UCESolver
 from repro.core.puce import PUCESolver
-from repro.core.workspace import EngineWorkspace
 from repro.datasets.synthetic import NormalGenerator
 from repro.simulation.instance import ProblemInstance
 from repro.simulation.pairs import PairArrays
@@ -158,9 +156,8 @@ def flush_rows():
         }
     )
 
-    # 2. End-to-end micro-flush (prep + solve), rebuild vs reuse arena.
+    # 2. End-to-end micro-flush (prep + solve), rebuild vs reuse.
     for name, solver in (("UCE", UCESolver()), ("PUCE", PUCESolver())):
-        workspace = EngineWorkspace()
         total_rebuild = _median_us(
             lambda s=solver: s.solve(
                 legacy_flush_instance(tasks, workers, model, 0), seed=0
@@ -172,7 +169,6 @@ def flush_rows():
             lambda s=solver: s.solve(
                 ProblemInstance.build(tasks, workers, seed=np.random.default_rng(0)),
                 seed=0,
-                workspace=workspace,
             ),
             reps,
             runs,
@@ -184,7 +180,6 @@ def flush_rows():
                 "rebuild_us": total_rebuild,
                 "reuse_us": total_reuse,
                 "speedup": total_rebuild / total_reuse,
-                "workspace_reuses": workspace.reuses,
             }
         )
 

@@ -1,7 +1,7 @@
 """Observability overhead benchmark: tracing must be free when off.
 
 The obs PR threads tracer calls through the whole flush path —
-simulator, shard executor, engine rounds, workspace, cache — every one
+simulator, shard cut, engine rounds, cache — every one
 of them defaulting to :data:`repro.obs.tracer.NULL_TRACER`.  This bench
 records the two numbers that keep that honest:
 

@@ -14,6 +14,7 @@ from benchmarks.conftest import bench_seed, emit_table, min_time
 from repro.core.pgt import PGTSolver
 from repro.core.puce import PUCESolver
 from repro.experiments.sweeps import make_generator
+from tests.reference.scalar_sweep import ScalarSweepSolver
 
 SIZES = (100, 200, 400, 800)
 
@@ -30,8 +31,8 @@ def scaling_rows():
                 "pairs": instance.num_feasible_pairs,
                 # The complexity claim is about the paper's per-proposal
                 # implementation model — the scalar reference sweep; the
-                # vectorized default is reported alongside.
-                "puce": min_time(PUCESolver(sweep="scalar"), instance),
+                # vectorized engine is reported alongside.
+                "puce": min_time(ScalarSweepSolver.like(PUCESolver()), instance),
                 "puce_vec": min_time(PUCESolver(), instance),
                 "pgt": min_time(PGTSolver(), instance),
             }

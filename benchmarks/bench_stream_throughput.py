@@ -107,7 +107,6 @@ def stream_rows():
                 "latency_p95": stats.latency_p95,
                 "privacy_spend": stats.total_privacy_spend,
                 "cache": config.cache,
-                "workspace": config.workspace,
                 "cache_hit_rate": stats.cache_hit_rate,
             }
         )
@@ -159,7 +158,6 @@ def _duty_cycle_rows() -> list[dict]:
             "tasks_per_sec": stats.throughput_tasks_per_sec,
             "privacy_spend": stats.total_privacy_spend,
             "cache": cache,
-            "workspace": True,
             "cache_hit_rate": stats.cache_hit_rate,
         }
         if base_wall is None:

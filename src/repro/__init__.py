@@ -182,7 +182,6 @@ from repro.service import (
 )
 from repro.simulation import BatchRunner, ProblemInstance, RunReport, Server
 from repro.spatial import Point
-from repro.core import EngineWorkspace
 from repro.stream import (
     AdaptiveBatchController,
     Assignment,
@@ -315,7 +314,6 @@ __all__ = [
     "StreamReport",
     "StreamStats",
     # flush hot path
-    "EngineWorkspace",
     "FlushSolverCache",
     # observability
     "Tracer",

@@ -3,15 +3,15 @@
 The registry's Table IX names (``"PUCE"``, ``"PDCE-nppcf"``) cover only
 the variants someone thought to pre-register.  :class:`MethodSpec` makes
 the *configuration* part of the name: ``"PDCE(ppcf=off)"`` or
-``"UCE(sweep=scalar, max_rounds=500)"`` parse into a spec, format back
-canonically, and build the corresponding solver — so the registry, CLI,
-benchmarks and reports all name configured variants the same way.
+``"UCE(max_rounds=500)"`` parse into a spec, format back canonically,
+and build the corresponding solver — so the registry, CLI, benchmarks
+and reports all name configured variants the same way.
 
 Grammar::
 
     spec   := base | base "(" param ("," param)* ")"
     param  := key "=" value
-    value  := "on" | "off" | "true" | "false" | integer | identifier
+    value  := "on" | "off" | "true" | "false" | integer
 
 Legacy registry names (``"PUCE-nppcf"``) parse as their spec equivalents
 (``MethodSpec("PUCE", ppcf=False)``), and a spec's
@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.api.options import SolveOptions, validate_sweep
+from repro.api.options import SolveOptions
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 
 __all__ = ["MethodSpec"]
 
-#: base name -> (takes ppcf, takes sweep/max_rounds, takes max_passes)
+#: base name -> (takes ppcf, takes max_rounds, takes max_passes)
 _BASES: dict[str, tuple[bool, bool, bool]] = {
     "PUCE": (True, True, False),
     "PDCE": (True, True, False),
@@ -50,7 +50,7 @@ _PRIVATE_BASES = frozenset({"PUCE", "PDCE", "PGT"})
 _SPEC_RE = re.compile(r"^\s*([A-Za-z]+(?:-nppcf)?)\s*(?:\((.*)\))?\s*$")
 
 
-def _parse_value(key: str, raw: str) -> "bool | int | str":
+def _parse_value(key: str, raw: str) -> "bool | int":
     raw = raw.strip()
     lowered = raw.lower()
     if lowered in ("on", "true"):
@@ -59,8 +59,6 @@ def _parse_value(key: str, raw: str) -> "bool | int | str":
         return False
     if re.fullmatch(r"-?\d+", raw):
         return int(raw)
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", raw):
-        return raw
     raise ConfigurationError(f"cannot parse value {raw!r} for {key!r}")
 
 
@@ -68,16 +66,15 @@ def _parse_value(key: str, raw: str) -> "bool | int | str":
 class MethodSpec:
     """One method variant: a Table IX base plus its configuration.
 
-    ``ppcf=None`` / ``sweep=None`` / ``max_rounds=None`` /
-    ``max_passes=None`` mean "the method default" (PPCF on, ``sweep`` and
-    round caps from :class:`~repro.api.options.SolveOptions` or the
-    engine defaults).  ``ppcf=True`` normalises to ``None`` so equal
-    configurations compare and format equal.
+    ``ppcf=None`` / ``max_rounds=None`` / ``max_passes=None`` mean "the
+    method default" (PPCF on, round caps from
+    :class:`~repro.api.options.SolveOptions` or the engine defaults).
+    ``ppcf=True`` normalises to ``None`` so equal configurations compare
+    and format equal.
     """
 
     base: str
     ppcf: bool | None = None
-    sweep: str | None = None
     max_rounds: int | None = None
     max_passes: int | None = None
 
@@ -88,28 +85,20 @@ class MethodSpec:
                 f"unknown method {self.base!r}; "
                 f"available: {', '.join(sorted(_BASES))}"
             )
-        takes_ppcf, takes_sweep, takes_passes = caps
+        takes_ppcf, takes_rounds, takes_passes = caps
         if self.ppcf is not None and not takes_ppcf:
             raise ConfigurationError(
                 f"{self.base} has no PPCF gate; ppcf= only applies to PUCE/PDCE"
             )
-        if not takes_sweep:
-            if self.sweep is not None:
-                raise ConfigurationError(
-                    f"{self.base} is not a conflict-elimination method; "
-                    f"sweep= does not apply"
-                )
-            if self.max_rounds is not None:
-                raise ConfigurationError(
-                    f"{self.base} is not a conflict-elimination method; "
-                    f"max_rounds= does not apply"
-                )
+        if self.max_rounds is not None and not takes_rounds:
+            raise ConfigurationError(
+                f"{self.base} is not a conflict-elimination method; "
+                f"max_rounds= does not apply"
+            )
         if self.max_passes is not None and not takes_passes:
             raise ConfigurationError(
                 f"max_passes= only applies to PGT/GT, not {self.base}"
             )
-        if self.sweep is not None:
-            validate_sweep(self.sweep)
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ConfigurationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
@@ -132,7 +121,7 @@ class MethodSpec:
         if match is None:
             raise ConfigurationError(f"cannot parse method spec {text!r}")
         base, arglist = match.group(1), match.group(2)
-        params: dict[str, bool | int | str] = {}
+        params: dict[str, bool | int] = {}
         if base.endswith("-nppcf"):
             base = base[: -len("-nppcf")]
             params["ppcf"] = False
@@ -144,10 +133,10 @@ class MethodSpec:
                     )
                 key, raw = item.split("=", 1)
                 key = key.strip()
-                if key not in ("ppcf", "sweep", "max_rounds", "max_passes"):
+                if key not in ("ppcf", "max_rounds", "max_passes"):
                     raise ConfigurationError(
                         f"unknown method parameter {key!r}; "
-                        f"valid: ppcf, sweep, max_rounds, max_passes"
+                        f"valid: ppcf, max_rounds, max_passes"
                     )
                 if key in params:
                     raise ConfigurationError(f"duplicate method parameter {key!r}")
@@ -162,8 +151,6 @@ class MethodSpec:
         parts = []
         if self.ppcf is False:
             parts.append("ppcf=off")
-        if self.sweep is not None:
-            parts.append(f"sweep={self.sweep}")
         if self.max_rounds is not None:
             parts.append(f"max_rounds={self.max_rounds}")
         if self.max_passes is not None:
@@ -187,7 +174,7 @@ class MethodSpec:
         """Build the configured solver.
 
         Spec-level parameters win over ``options``; ``options`` fills the
-        gaps (``sweep``, ``max_rounds``, and — for PUCE/PDCE — ``ppcf``).
+        gaps (``max_rounds``, and — for PUCE/PDCE — ``ppcf``).
         """
         from repro.core.nonprivate import DCESolver, GreedySolver, UCESolver
         from repro.core.optimal import OptimalSolver
@@ -195,8 +182,6 @@ class MethodSpec:
         from repro.core.pgt import GTSolver, PGTSolver
         from repro.core.puce import PUCESolver
 
-        sweep = self.sweep or (options.sweep if options is not None else "auto")
-        threshold = options.sweep_auto_threshold if options is not None else None
         max_rounds = (
             self.max_rounds
             or (options.max_rounds if options is not None else None)
@@ -208,27 +193,13 @@ class MethodSpec:
         if use_ppcf is None:
             use_ppcf = True
         if self.base == "PUCE":
-            return PUCESolver(
-                use_ppcf=use_ppcf,
-                max_rounds=max_rounds,
-                sweep=sweep,
-                sweep_auto_threshold=threshold,
-            )
+            return PUCESolver(use_ppcf=use_ppcf, max_rounds=max_rounds)
         if self.base == "PDCE":
-            return PDCESolver(
-                use_ppcf=use_ppcf,
-                max_rounds=max_rounds,
-                sweep=sweep,
-                sweep_auto_threshold=threshold,
-            )
+            return PDCESolver(use_ppcf=use_ppcf, max_rounds=max_rounds)
         if self.base == "UCE":
-            return UCESolver(
-                max_rounds=max_rounds, sweep=sweep, sweep_auto_threshold=threshold
-            )
+            return UCESolver(max_rounds=max_rounds)
         if self.base == "DCE":
-            return DCESolver(
-                max_rounds=max_rounds, sweep=sweep, sweep_auto_threshold=threshold
-            )
+            return DCESolver(max_rounds=max_rounds)
         if self.base == "PGT":
             return PGTSolver(max_passes=self.max_passes or 100_000)
         if self.base == "GT":

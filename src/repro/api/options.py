@@ -1,16 +1,15 @@
 """`SolveOptions` — the one place dispatch knobs are declared and checked.
 
 Before the facade, configuration was scattered: ``use_ppcf`` lived in
-solver constructors, ``sweep`` in :class:`ConflictEliminationSolver`,
-shard/parallel/adaptive knobs in :class:`StreamConfig`, seeds in
-``solve(instance, seed)`` — each layer re-validating its own slice.
-:class:`SolveOptions` unifies them into one frozen record that every
+solver constructors, batching/adaptive knobs in :class:`StreamConfig`,
+seeds in ``solve(instance, seed)`` — each layer re-validating its own
+slice.  :class:`SolveOptions` unifies them into one frozen record that every
 entry point accepts (``make_solver``, ``Solver.solve``, ``BatchRunner``,
 ``StreamRunner``, :class:`~repro.api.session.DispatchSession`, the CLI),
 and this module owns the *single* validation + normalization path: the
 ``validate_*`` functions below are called by ``SolveOptions`` itself and
-by the lower layers (``StreamConfig``, ``MicroBatcher``, the engine), so
-an invalid knob fails with the same typed
+by the lower layers (``StreamConfig``, ``MicroBatcher``), so an invalid
+knob fails with the same typed
 :class:`~repro.errors.ConfigurationError` no matter where it enters.
 
 This module deliberately imports nothing above :mod:`repro.errors`, so
@@ -44,7 +43,8 @@ __all__ = [
     "validate_faults",
 ]
 
-#: WorkerProposal sweep implementations of the conflict-elimination engine.
+#: Values the deprecated ``sweep`` option still accepts (inert: the engine
+#: has one sweep path).
 SWEEP_MODES = ("auto", "vectorized", "scalar")
 
 #: Values the deprecated ``parallel`` option still accepts (inert: every
@@ -53,7 +53,14 @@ PARALLEL_MODES = ("off", "thread", "process")
 
 #: The deprecated, inert options and their defaults; any other value
 #: warns (see :class:`SolveOptions`).
-_INERT_DEFAULTS = {"shards": "auto", "parallel": "off", "max_shard_workers": None}
+_INERT_DEFAULTS = {
+    "sweep": "auto",
+    "sweep_auto_threshold": None,
+    "shards": "auto",
+    "parallel": "off",
+    "max_shard_workers": None,
+    "workspace": True,
+}
 
 #: How in-window releases compose into one per-window guarantee
 #: (see :mod:`repro.privacy.horizon`).
@@ -61,6 +68,36 @@ COMPOSITION_RULES = ("sequential", "tree")
 
 
 # -- the single validation path -------------------------------------------
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_bool(value: Any) -> bool:
+    return isinstance(value, bool)
+
+
+#: ``(fields, expected, check, None allowed)`` for every typed
+#: :class:`SolveOptions` field whose own validator does not check its
+#: type.  ``bool`` is never a number here.
+_FIELD_TYPES = (
+    (("adaptive", "cache", "trace", "workspace"), "a bool", _is_bool, False),
+    (("ppcf",), "a bool or None", _is_bool, True),
+    (("seed", "max_batch_size"), "an int", _is_int, False),
+    (("max_rounds", "max_shard_workers"), "an int or None", _is_int, True),
+    (("max_wait", "target_flush_seconds"), "a real number", _is_real, False),
+    (
+        ("window_seconds", "window_budget", "window_decay"),
+        "a real number or None",
+        _is_real,
+        True,
+    ),
+)
 
 
 def reject_unknown_keys(
@@ -82,19 +119,18 @@ def reject_unknown_keys(
 
 
 def validate_sweep(sweep: str) -> str:
-    """Check an engine sweep mode; returns it for chaining."""
+    """Check the deprecated sweep mode; returns it for chaining."""
     if sweep not in SWEEP_MODES:
         raise ConfigurationError(f"unknown sweep implementation {sweep!r}")
     return sweep
 
 
 def validate_sweep_threshold(threshold: int | None) -> int | None:
-    """Check the ``sweep="auto"`` vectorization crossover (pairs).
+    """Check the deprecated ``sweep="auto"`` crossover (pairs).
 
-    ``None`` means "the engine default"; otherwise a non-negative pair
-    count (0 = always vectorize).  Returns the value for chaining.
+    ``None`` or a non-negative pair count.  Returns the value for chaining.
     """
-    if threshold is not None and (not isinstance(threshold, int) or threshold < 0):
+    if threshold is not None and (not _is_int(threshold) or threshold < 0):
         raise ConfigurationError(
             f"sweep_auto_threshold must be a non-negative int or None, "
             f"got {threshold!r}"
@@ -114,7 +150,7 @@ def validate_sharding(
     :data:`PARALLEL_MODES` (and not on a ``shards=0`` config), and
     ``max_shard_workers`` ``None`` or ``>= 1``.
     """
-    if isinstance(shards, str):
+    if not _is_int(shards):
         if shards != "auto":
             raise ConfigurationError(
                 f"shards must be an int >= 0 or 'auto', got {shards!r}"
@@ -253,15 +289,6 @@ class SolveOptions:
     seed:
         Base seed for noise streams and arrival draws.  Entry points that
         also take an explicit ``seed`` argument treat it as an override.
-    sweep:
-        WorkerProposal implementation of the conflict-elimination engine
-        (``"auto"`` / ``"vectorized"`` / ``"scalar"``).
-    sweep_auto_threshold:
-        ``sweep="auto"`` crossover: non-private engine runs on instances
-        with fewer feasible pairs than this take the scalar path.
-        ``None`` keeps the engine default
-        (:attr:`~repro.core.engine.ConflictEliminationSolver.
-        VECTOR_MIN_PAIRS`, recalibrated from the flush-overhead bench).
     ppcf:
         Method override: force the real-distance PPCF gate on (``True``)
         or off (``False``) for PUCE/PDCE.  ``None`` keeps each method's
@@ -271,12 +298,12 @@ class SolveOptions:
         engine default).
     max_batch_size, max_wait:
         Micro-batch flush triggers of the streaming layer.
-    shards, parallel, max_shard_workers:
+    sweep, sweep_auto_threshold, shards, parallel, max_shard_workers, workspace:
         Deprecated and inert: every flush solves its conflict-free units
-        in-process, in key order (see :mod:`repro.stream.shards`).  They
-        are still accepted so existing specs load, validated as before,
-        and setting any of them off its default emits one
-        :class:`DeprecationWarning`.
+        in-process, in key order (see :mod:`repro.stream.shards`), on the
+        engine's one vectorized sweep with fresh buffers.  They are still
+        accepted so existing specs load, validated as before, and setting
+        any of them off its default emits one :class:`DeprecationWarning`.
     adaptive, target_flush_seconds:
         Adaptive micro-batch sizing (see
         :class:`~repro.stream.batcher.AdaptiveBatchController`).
@@ -287,11 +314,6 @@ class SolveOptions:
         has been solved before skip the solve.  Results are bit-identical
         to ``cache=False`` (deterministic configs; adaptive batching is
         wall-clock-driven either way).
-    workspace:
-        Reuse one :class:`~repro.core.engine.ConflictEliminationSolver`
-        buffer arena (:class:`~repro.core.workspace.EngineWorkspace`)
-        across flushes instead of allocating per solve.  Purely a
-        performance knob; results are unchanged.
     trace:
         Record per-flush span trees (:mod:`repro.obs`): phase breakdowns
         in ``FlushRecord.phase_seconds`` and the ``--trace-out`` /
@@ -347,6 +369,16 @@ class SolveOptions:
     faults: Any = None
 
     def __post_init__(self) -> None:
+        # Types first: JSON from the wire arrives as-is, and an "off"
+        # flag is truthy while a "0.1" float fails a range check as a
+        # bare TypeError.
+        for names, expected, check, nullable in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not (check(value) or (nullable and value is None)):
+                    raise ConfigurationError(
+                        f"{name} must be {expected}, got {value!r}"
+                    )
         validate_sweep(self.sweep)
         validate_sweep_threshold(self.sweep_auto_threshold)
         validate_sharding(self.shards, self.parallel, self.max_shard_workers)
@@ -356,7 +388,7 @@ class SolveOptions:
         if legacy:
             warnings.warn(
                 f"SolveOptions key(s) {legacy} are deprecated and have no effect: "
-                f"every flush solves its cut in-process",
+                f"every flush solves its cut in-process, on one engine path",
                 DeprecationWarning,
                 stacklevel=3,
             )
@@ -428,7 +460,6 @@ class SolveOptions:
             adaptive=self.adaptive,
             target_flush_seconds=self.target_flush_seconds,
             cache=self.cache,
-            workspace=self.workspace,
             trace=self.trace,
             horizon=self.horizon_policy(),
             timeline_limit=self.timeline_limit,

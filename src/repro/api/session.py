@@ -86,7 +86,7 @@ class SessionConfig:
     Parameters
     ----------
     options:
-        The unified dispatch knobs (seed, batching, sharding, sweep).
+        The unified dispatch knobs (seed, batching, caching, windows).
         The session's :class:`~repro.stream.simulator.StreamConfig` is
         derived from them unless ``stream`` overrides it wholesale.
     stream:
@@ -443,17 +443,10 @@ class DispatchSession:
         return events
 
     def run(self, events: Iterable[StreamEvent]) -> StreamStats:
-        """Replay a whole timeline: the workload path as a thin loop.
-
-        Pooled resources are released even if the solver raises mid-run
-        (the guarantee the replay path has always had).
-        """
-        try:
-            for event in events:
-                self.submit(event)
-            return self.finish()
-        finally:
-            self.close()
+        """Replay a whole timeline: the workload path as a thin loop."""
+        for event in events:
+            self.submit(event)
+        return self.finish()
 
     def finish(self) -> StreamStats:
         """Process everything still queued and close the session."""
@@ -461,8 +454,11 @@ class DispatchSession:
         return self._simulator.finalize()
 
     def close(self) -> None:
-        """Release the session's buffers without finalising stats."""
-        self._simulator.close()
+        """End the session without finalising stats.
+
+        A session pools nothing, so this releases nothing; it keeps the
+        context-manager protocol and the service's tenant lifecycle.
+        """
 
     def __enter__(self) -> "DispatchSession":
         return self

@@ -19,7 +19,6 @@ from repro.core.compare import (
 )
 from repro.core.effective import EffectivePair, Release, ReleaseSet, effective_pair_of
 from repro.core.engine import ConflictEliminationSolver, EliminationPolicy, RoundRecord
-from repro.core.workspace import EngineWorkspace
 from repro.core.geoi import GeoIndistinguishableSolver
 from repro.core.nonprivate import DCESolver, GreedySolver, UCESolver
 from repro.core.optimal import OptimalSolver
@@ -75,7 +74,6 @@ __all__ = [
     "EliminationPolicy",
     "ConflictEliminationSolver",
     "RoundRecord",
-    "EngineWorkspace",
     "GeoIndistinguishableSolver",
     "Payment",
     "vickrey_payment",

@@ -29,50 +29,33 @@ worker's round-start spend plus the tentative budget (matching Table IV);
 candidates' comparison keys are frozen at proposal time; CEA losers are
 not auto-assigned (Example 2).
 
-Two sweep implementations share this protocol.  The vectorized sweep
-(``sweep="vectorized"``) evaluates the WorkerProposal gates as boolean
-masks over the instance's CSR pair arrays (:mod:`repro.core.sweep`) and
-hands WinnerChosen a flat :class:`~repro.core.sweep.ProposalBatch` that
-the array-form CEA resolution consumes — per-pair ``Candidate`` objects
-and per-task Python sorts exist only on the scalar path now; only the
-release-set operations (weighted medians, PCF, publishes) remain scalar.
-``sweep="scalar"`` is the original agent-at-a-time reference.  The
-default, ``sweep="auto"``, picks per instance: vectorized, except for
-non-private policies on instances below the configured
-``sweep_auto_threshold`` feasible pairs (streaming micro-batches), which
-run scalar.  Both produce bit-identical results (the property tests
-assert it), and solvers that override any scalar proposal hook
-(``_build_agents`` — the Table IV-VIII replay harnesses that preload
-noise draws — ``_worker_proposal``, ``_evaluate_pair``,
-``_beats_winner_private``, ``_incumbent_entry``) automatically use the
-scalar path.
+Every round runs on the pair arrays.  WorkerProposal evaluates its gates
+as boolean masks over the instance's CSR pair arrays
+(:mod:`repro.core.sweep`) and hands WinnerChosen one flat
+:class:`~repro.core.sweep.ProposalBatch`; only the release-set operations
+(weighted medians, PCF, publishes) and the handful of decided assignments
+run per pair.  The agent-at-a-time sweep that the paper's pseudocode
+describes lives in ``tests/reference/`` as the oracle this path is pinned
+bit-identical against.
 
-Repeated solves (streaming micro-flushes, batch sweeps) can thread an
-:class:`~repro.core.workspace.EngineWorkspace` through ``solve`` /
-``solve_shards``: the sweep state's buffers then come from one reusable
-arena instead of fresh allocations, with results unchanged.
+The private sweep draws its Laplace noise through one seam,
+:meth:`ConflictEliminationSolver._obfuscated_distances`; replay harnesses
+override it to pin the paper's Table IV draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from functools import partial
+from typing import Literal
 
 import numpy as np
 
-from repro.api.options import validate_sweep, validate_sweep_threshold
-from repro.core.agents import WorkerAgent, build_agents
-from repro.core.cea import (
-    Candidate,
-    resolve_top_conflicts,
-    resolve_top_conflicts_dense,
-)
-from repro.core.compare import pcf, ppcf
+from repro.core.cea import resolve_top_conflicts_dense
 from repro.core.result import AssignmentResult
 from repro.core.sweep import ProposalBatch, VectorSweep
-from repro.core.transform import adjusted_rival_distance, comparison_key, public_value
-from repro.core.workspace import EngineWorkspace
+from repro.core.transform import comparison_key, public_value
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.obs.tracer import NULL_TRACER, stopwatch
 from repro.simulation.instance import ProblemInstance
@@ -127,52 +110,13 @@ class EliminationPolicy:
 
 
 class ConflictEliminationSolver:
-    """Round-based solver parameterised by an :class:`EliminationPolicy`.
+    """Round-based solver parameterised by an :class:`EliminationPolicy`."""
 
-    ``sweep`` selects the WorkerProposal implementation: ``"vectorized"``
-    (mask-gated array sweep + array WinnerChosen), ``"scalar"`` (the
-    per-agent reference path, kept for replay harnesses and as the
-    equivalence / throughput baseline), or ``"auto"`` (default):
-    vectorized, except for *non-private* policies on instances too small
-    to amortise the fixed array-op cost per round — where the plain-float
-    scalar path is faster.  (Private policies stay vectorized at every
-    size: their scalar path carries per-pair agent machinery that loses
-    even on tiny instances.)  Both sweeps are bit-identical, so the
-    switch is purely a performance decision.
-
-    ``sweep_auto_threshold`` is the crossover: below this many feasible
-    pairs ``sweep="auto"`` picks the scalar path for non-private
-    policies.  ``None`` keeps :attr:`VECTOR_MIN_PAIRS` (recalibrated for
-    the array WinnerChosen path by ``benchmarks/bench_flush_overhead.py``
-    — the vectorized sweep now profits far earlier than the PR-2 era
-    value of 48).
-    """
-
-    #: Default ``sweep="auto"`` crossover (feasible pairs) below which
-    #: non-private policies run scalar.  Exposed as the validated
-    #: ``sweep_auto_threshold`` knob on :class:`~repro.api.options.
-    #: SolveOptions`.  Recalibrated by ``benchmarks/bench_flush_overhead
-    #: .py`` after the array WinnerChosen + small-round form landed
-    #: (measured crossover ~25-30 pairs; the PR-2 era value was 48).
-    VECTOR_MIN_PAIRS = 28
-
-    def __init__(
-        self,
-        policy: EliminationPolicy,
-        max_rounds: int = 100_000,
-        sweep: Literal["auto", "vectorized", "scalar"] = "auto",
-        sweep_auto_threshold: int | None = None,
-    ):
+    def __init__(self, policy: EliminationPolicy, max_rounds: int = 100_000):
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
-        validate_sweep(sweep)
-        validate_sweep_threshold(sweep_auto_threshold)
         self.policy = policy
         self.max_rounds = max_rounds
-        self.sweep = sweep
-        self.sweep_auto_threshold = (
-            self.VECTOR_MIN_PAIRS if sweep_auto_threshold is None else sweep_auto_threshold
-        )
 
     @property
     def name(self) -> str:
@@ -187,58 +131,25 @@ class ConflictEliminationSolver:
         instance: ProblemInstance,
         seed: int | np.random.Generator | None = None,
         options=None,
-        workspace: EngineWorkspace | None = None,
         tracer=NULL_TRACER,
     ) -> AssignmentResult:
         """Run the batch protocol to quiescence on ``instance``.
 
         ``options`` (a :class:`~repro.api.options.SolveOptions`) supplies
         the seed when ``seed`` is omitted — the facade's uniform calling
-        convention.  ``workspace`` lends the solve a reusable buffer
-        arena (results are unchanged; repeated solves skip per-run
-        allocations).  ``tracer`` (a :class:`repro.obs.Tracer`) records
+        convention.  ``tracer`` (a :class:`repro.obs.Tracer`) records
         ``solve.build`` / ``solve.sweep`` / ``solve.resolve`` spans under
         the caller's current span; the no-op default costs nothing.
         """
         if seed is None and options is not None:
             seed = options.seed
-        result, _ = self.solve_with_trace(
-            instance, seed, workspace=workspace, tracer=tracer
-        )
+        result, _ = self.solve_with_trace(instance, seed, tracer=tracer)
         return result
-
-    def solve_shards(
-        self,
-        instances: "Sequence[ProblemInstance]",
-        seeds: "Sequence[int | np.random.Generator | None]",
-        workspace: EngineWorkspace | None = None,
-        tracer=NULL_TRACER,
-    ) -> list[AssignmentResult]:
-        """Run the batch protocol on precut shard instances, one run each.
-
-        The engine-side entry point of the flush path
-        (:func:`repro.stream.shards.solve_flush`): each instance is an
-        independent, conflict-free shard of a larger flush — no worker or
-        task appears in two of them — and is solved as its own protocol
-        episode with its own seed.  Results come back in input order; merging them is
-        the caller's job (the shards layer owns the deterministic merge
-        ordering).  The shards run sequentially here, so one
-        ``workspace`` arena serves them all.
-        """
-        if len(instances) != len(seeds):
-            raise ConfigurationError(
-                f"{len(instances)} shard instances but {len(seeds)} seeds"
-            )
-        return [
-            self.solve(instance, seed=seed, workspace=workspace, tracer=tracer)
-            for instance, seed in zip(instances, seeds)
-        ]
 
     def solve_with_trace(
         self,
         instance: ProblemInstance,
         seed: int | np.random.Generator | None = None,
-        workspace: EngineWorkspace | None = None,
         tracer=NULL_TRACER,
     ) -> tuple[AssignmentResult, list[RoundRecord]]:
         """As :meth:`solve`, also returning a per-round observability trace."""
@@ -246,85 +157,55 @@ class ConflictEliminationSolver:
         with watch:
             rng = ensure_rng(seed)
             server = Server(instance)
-            # A busy arena (nested / cross-thread use) leases as None and the
-            # sweep simply allocates fresh buffers — never two solves aliasing
-            # one arena.
-            arena = workspace.lease() if workspace is not None else None
-            try:
-                with tracer.span("solve.build"):
-                    state = self._make_sweep_state(instance, server, rng, arena)
-                    if state is not None:
-                        agents = None
-                        not_winning: set[int] | None = None
-                    else:
-                        agents = (
-                            self._build_agents(instance, rng)
-                            if self.policy.private
-                            else None
-                        )
-                        not_winning = set(range(instance.num_workers))
-                trace: list[RoundRecord] = []
+            with tracer.span("solve.build"):
+                state = VectorSweep(
+                    instance,
+                    server,
+                    objective=self.policy.objective,
+                    use_ppcf=self.policy.use_ppcf,
+                    obfuscate=partial(self._obfuscated_distances, instance, rng)
+                    if self.policy.private
+                    else None,
+                )
+            trace: list[RoundRecord] = []
 
-                rounds = 0
-                while True:
-                    rounds += 1
-                    if rounds > self.max_rounds:
-                        raise ConvergenceError(
-                            f"{self.name} exceeded max_rounds={self.max_rounds} "
-                            f"on a {instance.num_tasks}x{instance.num_workers} instance"
-                        )
-                    with tracer.span("solve.sweep"):
-                        if state is not None:
-                            candidates = state.proposal_round()
-                        else:
-                            candidates = self._worker_proposal(
-                                instance, server, agents, not_winning
-                            )
-                    if not candidates:
-                        trace.append(
-                            RoundRecord(rounds, 0, (), (), server.assigned_count)
-                        )
-                        break
-                    with tracer.span("solve.resolve"):
-                        if state is not None:
-                            proposal_count = len(candidates)
-                            new_winners, new_losers = self._winner_chosen_batch(
-                                instance, server, state, candidates
-                            )
-                            # Incremental pool bookkeeping: scatter the round's
-                            # churn into the worker mask instead of re-deriving /
-                            # re-sorting the pool (mask order is worker order).
-                            if new_winners:
-                                state.not_winning[list(new_winners)] = False
-                            if new_losers:
-                                state.not_winning[list(new_losers)] = True
-                        else:
-                            proposal_count = sum(
-                                len(entries) for entries in candidates.values()
-                            )
-                            new_winners, new_losers = self._winner_chosen(
-                                instance, server, candidates
-                            )
-                            not_winning -= new_winners
-                            not_winning |= new_losers
-                    trace.append(
-                        RoundRecord(
-                            rounds,
-                            proposal_count,
-                            tuple(sorted(new_winners)),
-                            tuple(sorted(new_losers)),
-                            server.assigned_count,
-                        )
+            rounds = 0
+            while True:
+                rounds += 1
+                if rounds > self.max_rounds:
+                    raise ConvergenceError(
+                        f"{self.name} exceeded max_rounds={self.max_rounds} "
+                        f"on a {instance.num_tasks}x{instance.num_workers} instance"
                     )
-                    if not self.policy.private and not new_winners and not new_losers:
-                        # Non-private rounds are deterministic functions of
-                        # (pool, allocation): an unchanged round is a fixed point
-                        # and would repeat forever.  (Private rounds always make
-                        # progress — every proposal consumes budget.)
-                        break
-            finally:
-                if arena is not None:
-                    arena.unlease()
+                with tracer.span("solve.sweep"):
+                    batch = state.proposal_round()
+                if not batch:
+                    trace.append(RoundRecord(rounds, 0, (), (), server.assigned_count))
+                    break
+                with tracer.span("solve.resolve"):
+                    new_winners, new_losers = self._winner_chosen(instance, server, state, batch)
+                    # Incremental pool bookkeeping: scatter the round's
+                    # churn into the worker mask instead of re-deriving /
+                    # re-sorting the pool (mask order is worker order).
+                    if new_winners:
+                        state.not_winning[list(new_winners)] = False
+                    if new_losers:
+                        state.not_winning[list(new_losers)] = True
+                trace.append(
+                    RoundRecord(
+                        rounds,
+                        len(batch),
+                        tuple(sorted(new_winners)),
+                        tuple(sorted(new_losers)),
+                        server.assigned_count,
+                    )
+                )
+                if not self.policy.private and not new_winners and not new_losers:
+                    # Non-private rounds are deterministic functions of
+                    # (pool, allocation): an unchanged round is a fixed point
+                    # and would repeat forever.  (Private rounds always make
+                    # progress — every proposal consumes budget.)
+                    break
 
         result = AssignmentResult(
             method=self.name,
@@ -338,187 +219,24 @@ class ConflictEliminationSolver:
         )
         return result, trace
 
-    def _build_agents(
-        self, instance: ProblemInstance, rng: np.random.Generator
-    ) -> list[WorkerAgent]:
-        """Agent construction hook (overridden by replay/trace tests)."""
-        return build_agents(instance, rng)
-
-    def _make_sweep_state(
+    def _obfuscated_distances(
         self,
         instance: ProblemInstance,
-        server: Server,
         rng: np.random.Generator,
-        workspace: EngineWorkspace | None = None,
-    ) -> VectorSweep | None:
-        """The array sweep state, or ``None`` for the scalar path.
+        pair: np.ndarray,
+        budget_index: np.ndarray,
+    ) -> np.ndarray:
+        """The would-be released distances of fresh ``(pair, budget index)`` rows.
 
-        Subclasses customise the proposal side through the scalar hooks —
-        ``_build_agents`` (replay harnesses pinning noise draws),
-        ``_worker_proposal``, ``_evaluate_pair``,
-        ``_beats_winner_private``, ``_incumbent_entry``.  The vectorized
-        sweep would silently bypass any of them, so an override on any of
-        those hooks routes the run through the scalar path.
+        The private sweep's noise seam: it asks once per (pair, budget
+        index), in flat CSR order, and memoizes the answer until the pair
+        publishes.  The default adds one Laplace draw of scale ``1 / eps``
+        to each real distance, so the noise stream is a pure function of
+        the seed.  Replay harnesses override it to pin recorded draws.
         """
-        if self.sweep == "scalar":
-            return None
-        if (
-            self.sweep == "auto"
-            and not self.policy.private
-            and instance.num_feasible_pairs < self.sweep_auto_threshold
-        ):
-            return None
-        cls = type(self)
-        base = ConflictEliminationSolver
-        for hook in (
-            "_build_agents",
-            "_worker_proposal",
-            "_evaluate_pair",
-            "_beats_winner_private",
-            "_incumbent_entry",
-        ):
-            if getattr(cls, hook) is not getattr(base, hook):
-                return None
-        return VectorSweep(
-            instance,
-            server,
-            objective=self.policy.objective,
-            use_ppcf=self.policy.use_ppcf,
-            private=self.policy.private,
-            rng=rng if self.policy.private else None,
-            workspace=workspace,
-        )
-
-    # -- Algorithm 1: WorkerProposal ----------------------------------------
-
-    def _worker_proposal(
-        self,
-        instance: ProblemInstance,
-        server: Server,
-        agents: list[WorkerAgent] | None,
-        not_winning: set[int],
-    ) -> dict[int, list[Candidate]]:
-        """One proposal sweep; publishes private releases as a side effect."""
-        proposals: dict[int, list[Candidate]] = {}
-        for j in sorted(not_winning):
-            agent = agents[j] if agents is not None else None
-            for i in instance.reachable[j]:
-                candidate = self._evaluate_pair(instance, server, agent, i, j)
-                if candidate is not None:
-                    proposals.setdefault(i, []).append(candidate)
-        return proposals
-
-    def _evaluate_pair(
-        self,
-        instance: ProblemInstance,
-        server: Server,
-        agent: WorkerAgent | None,
-        i: int,
-        j: int,
-    ) -> Candidate | None:
-        """Gates of Algorithm 1 for one (task, worker) pair.
-
-        The utility privacy cost is the *pair's* cumulative published
-        budget plus the tentative new element (the paper's Eq. 2 semantics
-        as pinned by the Table IV worked values; DESIGN.md §3.1).
-        """
-        model = instance.model
-        task = instance.tasks[i]
-        d_real = instance.distance(i, j)
-        private = agent is not None
-
-        if private:
-            if not agent.can_propose(i):
-                return None
-            tentative = agent.peek_proposal(i, server)
-            pair_spend = agent.pair_budget(i).spent + tentative.epsilon
-        else:
-            tentative = None
-            pair_spend = 0.0
-
-        if self.policy.objective == "utility":
-            utility = model.utility(task.value, d_real, pair_spend)
-            if utility <= 0.0:
-                return None
-            own_value = public_value(task.value, pair_spend, model)
-        else:
-            own_value = 0.0  # distance objective: keys are raw distances
-
-        winner = server.winner(i)
-        if winner is not None:
-            if private:
-                if not self._beats_winner_private(
-                    instance, server, i, winner, d_real, tentative, own_value
-                ):
-                    return None
-            else:
-                # Gate on the *same* key computation the competing table
-                # sorts by: gating on raw distances while sorting on
-                # shifted keys can disagree after floating-point
-                # absorption, livelocking the round loop.
-                challenger_key = (
-                    comparison_key(d_real, task.value, model)
-                    if self.policy.objective == "utility"
-                    else d_real
-                )
-                if not challenger_key < self._incumbent_entry(
-                    instance, server, i, winner
-                ).key:
-                    return None
-
-        if private:
-            agent.publish(tentative, server)
-            effective = server.release_set(i, j).effective_pair()
-            key = (
-                comparison_key(effective.distance, own_value, model)
-                if self.policy.objective == "utility"
-                else effective.distance
-            )
-        else:
-            key = (
-                comparison_key(d_real, task.value, model)
-                if self.policy.objective == "utility"
-                else d_real
-            )
-        return Candidate(worker=j, key=key)
-
-    def _beats_winner_private(
-        self,
-        instance: ProblemInstance,
-        server: Server,
-        i: int,
-        winner: int,
-        d_real: float,
-        tentative,
-        own_value: float,
-    ) -> bool:
-        """Lines 9-15 of Algorithm 1: PPCF then PCF against the winner."""
-        model = instance.model
-        win_pair = server.effective_pair(i, winner)
-        if self.policy.objective == "utility":
-            winner_value = public_value(
-                instance.tasks[i].value,
-                server.release_set(i, winner).total_spend(),
-                model,
-            )
-            rival = adjusted_rival_distance(
-                win_pair.distance, own_value, winner_value, model
-            )
-        else:
-            rival = win_pair.distance
-        if self.policy.use_ppcf and ppcf(d_real, rival, win_pair.epsilon) <= 0.5:
-            return False
-        if (
-            pcf(
-                tentative.effective.distance,
-                rival,
-                tentative.effective.epsilon,
-                win_pair.epsilon,
-            )
-            <= 0.5
-        ):
-            return False
-        return True
+        pairs = instance.pairs
+        epsilon = pairs.budget_matrix[pair, budget_index]
+        return pairs.distance[pair] + rng.laplace(loc=0.0, scale=1.0 / epsilon)
 
     # -- Algorithm 2: WinnerChosen ------------------------------------------
 
@@ -526,169 +244,19 @@ class ConflictEliminationSolver:
         self,
         instance: ProblemInstance,
         server: Server,
-        candidates: dict[int, list[Candidate]],
-    ) -> tuple[set[int], set[int]]:
-        """Assign round winners; returns (new winners, displaced losers).
-
-        The scalar (mapping) form; array-sweep rounds go through
-        :meth:`_winner_chosen_batch` instead.
-        """
-        competing: dict[int, list[Candidate]] = {}
-        for i, entries in candidates.items():
-            table = list(entries)
-            incumbent = server.winner(i)
-            if incumbent is not None:
-                table.append(self._incumbent_entry(instance, server, i, incumbent))
-            table.sort(key=lambda c: (c.key, c.worker))
-            competing[i] = table
-
-        decisions = resolve_top_conflicts(competing)
-
-        new_winners: set[int] = set()
-        new_losers: set[int] = set()
-        for i, entry in decisions.items():
-            if entry.worker == server.winner(i):
-                continue  # incumbent held the top: nothing changes
-            displaced = server.assign(i, entry.worker)
-            new_winners.add(entry.worker)
-            if displaced is not None:
-                new_losers.add(displaced)
-        # A displaced worker that immediately won elsewhere is not a loser.
-        new_losers -= new_winners
-        return new_winners, new_losers
-
-    def _winner_chosen_batch(
-        self,
-        instance: ProblemInstance,
-        server: Server,
         state: VectorSweep,
         batch: ProposalBatch,
     ) -> tuple[set[int], set[int]]:
-        """Array-form Algorithm 2 over a :class:`ProposalBatch`.
+        """Assign one round's winners; returns (new winners, displaced losers).
 
-        Bit-identical to :meth:`_winner_chosen` on the equivalent mapping:
-        per-task tables are the candidate rows plus the incumbent, ranked
-        by ``(key, worker)`` through one ``np.lexsort``; the single-round
-        CEA rule runs on the group-level top/runner-up facts
-        (:func:`~repro.core.cea.resolve_top_conflicts_dense`, sharing the
-        scalar tie-break machinery); decisions apply in the mapping
-        path's first-appearance order.  Only the handful of decided
-        assignments touch Python objects — candidate ranking and winner
-        propagation never leave the arrays.
-
-        Rounds with only a handful of candidates take a plain-list form
-        of the same computation (:meth:`_winner_chosen_small`): at
-        micro-flush sizes the numpy group machinery costs more than the
-        work it batches, and the small form is what lets ``sweep="auto"``
-        profit from vectorization far below the PR-2 era threshold.
-        """
-        if len(batch) < self.SMALL_ROUND_CANDIDATES:
-            return self._winner_chosen_small(instance, server, state, batch)
-        pairs = instance.pairs
-        # Task groups in first-appearance (publish) order — the order the
-        # mapping form's dict insertion encodes.
-        uniq, first_idx, inverse = np.unique(
-            batch.task, return_index=True, return_inverse=True
-        )
-        appearance = np.argsort(first_idx, kind="stable")
-        rank_of_uniq = np.empty(uniq.shape[0], dtype=np.int64)
-        rank_of_uniq[appearance] = np.arange(uniq.shape[0], dtype=np.int64)
-        rank = rank_of_uniq[inverse]
-        group_tasks = uniq[appearance]
-
-        # Incumbent rows for contested groups.  Private keys need the
-        # release board (weighted medians) and stay scalar per incumbent;
-        # non-private keys are the same floats `_incumbent_entry` computes,
-        # read straight off the pair arrays.
-        inc_pair = state.winner_pair[group_tasks]
-        contested = np.flatnonzero(inc_pair >= 0)
-        if contested.size:
-            inc_rank = contested.astype(np.int64)
-            inc_pair = inc_pair[contested]
-            inc_worker = pairs.worker[inc_pair]
-            if self.policy.private:
-                inc_key = np.asarray(
-                    [
-                        self._incumbent_entry(instance, server, int(i), int(w)).key
-                        for i, w in zip(
-                            group_tasks[contested].tolist(), inc_worker.tolist()
-                        )
-                    ],
-                    dtype=np.float64,
-                )
-            elif self.policy.objective == "utility":
-                model = instance.model
-                inc_key = np.asarray(
-                    [
-                        comparison_key(d, instance.tasks[i].value, model)
-                        for i, d in zip(
-                            group_tasks[contested].tolist(),
-                            pairs.distance[inc_pair].tolist(),
-                        )
-                    ],
-                    dtype=np.float64,
-                )
-            else:
-                inc_key = pairs.distance[inc_pair].astype(np.float64)
-            all_rank = np.concatenate([rank, inc_rank])
-            all_worker = np.concatenate([batch.worker, inc_worker])
-            all_key = np.concatenate([batch.key, inc_key])
-            all_pair = np.concatenate([batch.pair, inc_pair])
-        else:
-            all_rank, all_worker = rank, batch.worker
-            all_key, all_pair = batch.key, batch.pair
-
-        # One ranking pass for every per-task table: groups by rank, each
-        # sorted ascending (key, worker) — the scalar `table.sort` order.
-        order = np.lexsort((all_worker, all_key, all_rank))
-        sorted_worker = all_worker[order]
-        sorted_key = all_key[order]
-        sorted_pair = all_pair[order]
-        counts = np.bincount(all_rank, minlength=group_tasks.shape[0])
-        starts = np.zeros(group_tasks.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-
-        runner_pos = np.minimum(starts + 1, sorted_key.shape[0] - 1)
-        runner_key = np.where(counts > 1, sorted_key[runner_pos], np.inf)
-        group_task_list = group_tasks.tolist()
-        top_workers = sorted_worker[starts].tolist()
-        decisions = resolve_top_conflicts_dense(
-            group_task_list,
-            top_workers,
-            sorted_key[starts].tolist(),
-            runner_key.tolist(),
-        )
-
-        top_pairs = sorted_pair[starts]
-        return self._apply_decisions(
-            server,
-            state,
-            [
-                (group_task_list[g], top_workers[g], int(top_pairs[g]))
-                for g in decisions
-            ],
-        )
-
-    #: Candidate-count bound below which :meth:`_winner_chosen_batch`
-    #: runs its plain-list form (numpy group setup costs more than the
-    #: work it batches on micro rounds).
-    SMALL_ROUND_CANDIDATES = 96
-
-    def _winner_chosen_small(
-        self,
-        instance: ProblemInstance,
-        server: Server,
-        state: VectorSweep,
-        batch: ProposalBatch,
-    ) -> tuple[set[int], set[int]]:
-        """Plain-list form of :meth:`_winner_chosen_batch` (small rounds).
-
-        Same tables, same ranking, same single-round CEA rule and
-        tie-breaks — built from Python lists because a micro round's
-        candidate count is far below the numpy group machinery's
-        break-even.  Sorting ``(key, worker, pair)`` tuples equals the
-        ``(key, worker)`` order: a worker appears at most once per task,
-        so the pair column never decides.
+        Per task, the candidate rows plus the incumbent winner form the
+        competing table, ranked ascending by ``(key, worker)``.  Sorting
+        ``(key, worker, pair)`` tuples gives that order: a worker appears
+        at most once per task, so the pair column never decides.  The
+        single-round CEA rule (:func:`~repro.core.cea.
+        resolve_top_conflicts_dense`) decides on each table's top and
+        runner-up keys, and decisions apply in first-appearance (publish)
+        order.
         """
         model = instance.model
         pairs = instance.pairs
@@ -711,7 +279,7 @@ class ConflictEliminationSolver:
             if wp >= 0:
                 winner = int(pairs.worker[wp])
                 if self.policy.private:
-                    key = self._incumbent_entry(instance, server, i, winner).key
+                    key = self._private_incumbent_key(instance, server, i, winner)
                 elif utility_objective:
                     key = comparison_key(
                         float(pairs.distance[wp]), instance.tasks[i].value, model
@@ -730,25 +298,12 @@ class ConflictEliminationSolver:
             [rows[0][0] for rows in tables],
             [rows[1][0] if len(rows) > 1 else math.inf for rows in tables],
         )
-        return self._apply_decisions(
-            server,
-            state,
-            [
-                (group_task_list[g], tables[g][0][1], tables[g][0][2])
-                for g in decisions
-            ],
-        )
 
-    def _apply_decisions(
-        self,
-        server: Server,
-        state: VectorSweep,
-        decisions: list[tuple[int, int, int]],
-    ) -> tuple[set[int], set[int]]:
-        """Commit ``(task, worker, pair)`` round decisions in order."""
         new_winners: set[int] = set()
         new_losers: set[int] = set()
-        for i, winner, pair_pos in decisions:
+        for g in decisions:
+            i = group_task_list[g]
+            _, winner, pair_pos = tables[g][0]
             if winner == server.winner(i):
                 continue  # incumbent held the top: nothing changes
             vacated = server.task_of(winner)
@@ -761,31 +316,17 @@ class ConflictEliminationSolver:
         new_losers -= new_winners
         return new_winners, new_losers
 
-    def _incumbent_entry(
+    def _private_incumbent_key(
         self, instance: ProblemInstance, server: Server, i: int, winner: int
-    ) -> Candidate:
-        """The current winner's row in the competing table."""
-        model = instance.model
-        if self.policy.private:
-            pair = server.effective_pair(i, winner)
-            if self.policy.objective == "utility":
-                value = public_value(
-                    instance.tasks[i].value,
-                    server.release_set(i, winner).total_spend(),
-                    model,
-                )
-                key = comparison_key(pair.distance, value, model)
-            else:
-                key = pair.distance
-        else:
-            # Read straight from the pair arrays: the dict view would be
-            # materialised (O(P)) just to serve a handful of incumbents.
-            d_real = float(
-                instance.pairs.distance[instance.pair_index(i, winner)]
+    ) -> float:
+        """The current winner's comparison key, read off the release board."""
+        pair = server.effective_pair(i, winner)
+        if self.policy.objective == "utility":
+            model = instance.model
+            value = public_value(
+                instance.tasks[i].value,
+                server.release_set(i, winner).total_spend(),
+                model,
             )
-            key = (
-                comparison_key(d_real, instance.tasks[i].value, model)
-                if self.policy.objective == "utility"
-                else d_real
-            )
-        return Candidate(worker=winner, key=key)
+            return comparison_key(pair.distance, value, model)
+        return pair.distance

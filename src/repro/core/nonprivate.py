@@ -26,34 +26,20 @@ __all__ = ["UCESolver", "DCESolver", "GreedySolver"]
 class UCESolver(ConflictEliminationSolver):
     """UCE: PUCE with real distances and zero privacy cost."""
 
-    def __init__(
-        self,
-        max_rounds: int = 100_000,
-        sweep: str = "auto",
-        sweep_auto_threshold: int | None = None,
-    ):
+    def __init__(self, max_rounds: int = 100_000):
         super().__init__(
             EliminationPolicy(name="UCE", objective="utility", private=False),
             max_rounds=max_rounds,
-            sweep=sweep,
-            sweep_auto_threshold=sweep_auto_threshold,
         )
 
 
 class DCESolver(ConflictEliminationSolver):
     """DCE: PDCE with real distances (pure distance minimisation)."""
 
-    def __init__(
-        self,
-        max_rounds: int = 100_000,
-        sweep: str = "auto",
-        sweep_auto_threshold: int | None = None,
-    ):
+    def __init__(self, max_rounds: int = 100_000):
         super().__init__(
             EliminationPolicy(name="DCE", objective="distance", private=False),
             max_rounds=max_rounds,
-            sweep=sweep,
-            sweep_auto_threshold=sweep_auto_threshold,
         )
 
 

@@ -19,19 +19,11 @@ __all__ = ["PDCESolver"]
 class PDCESolver(ConflictEliminationSolver):
     """Private Distance Conflict-Elimination."""
 
-    def __init__(
-        self,
-        use_ppcf: bool = True,
-        max_rounds: int = 100_000,
-        sweep: str = "auto",
-        sweep_auto_threshold: int | None = None,
-    ):
+    def __init__(self, use_ppcf: bool = True, max_rounds: int = 100_000):
         name = "PDCE" if use_ppcf else "PDCE-nppcf"
         super().__init__(
             EliminationPolicy(
                 name=name, objective="distance", private=True, use_ppcf=use_ppcf
             ),
             max_rounds=max_rounds,
-            sweep=sweep,
-            sweep_auto_threshold=sweep_auto_threshold,
         )

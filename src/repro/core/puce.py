@@ -17,19 +17,11 @@ __all__ = ["PUCESolver"]
 class PUCESolver(ConflictEliminationSolver):
     """Private Utility Conflict-Elimination (Algorithms 1-3)."""
 
-    def __init__(
-        self,
-        use_ppcf: bool = True,
-        max_rounds: int = 100_000,
-        sweep: str = "auto",
-        sweep_auto_threshold: int | None = None,
-    ):
+    def __init__(self, use_ppcf: bool = True, max_rounds: int = 100_000):
         name = "PUCE" if use_ppcf else "PUCE-nppcf"
         super().__init__(
             EliminationPolicy(
                 name=name, objective="utility", private=True, use_ppcf=use_ppcf
             ),
             max_rounds=max_rounds,
-            sweep=sweep,
-            sweep_auto_threshold=sweep_auto_threshold,
         )

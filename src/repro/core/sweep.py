@@ -7,23 +7,22 @@ arrays (:class:`~repro.simulation.pairs.PairArrays`), and only the pairs
 that survive gating drop to the scalar per-pair path that actually
 publishes a private release.
 
-Exactness contract (what the equivalence property tests pin):
+Exactness contract (what the equivalence property tests pin against the
+agent-at-a-time reference sweep in ``tests/reference/``):
 
 * **Identical floats.**  Every gate is computed with the same IEEE
-  operations, in the same order, as the scalar reference sweep
-  (``sweep="scalar"`` on the engine): utilities as ``(v - f_d(d)) -
-  f_p(spend)``, spends as left-to-right prefix sums, PPCF through the
-  same ``exp`` formula.
-* **Identical noise stream.**  The scalar path draws a memoized Laplace
+  operations, in the same order, as the reference: utilities as ``(v -
+  f_d(d)) - f_p(spend)``, spends as left-to-right prefix sums, PPCF
+  through the same ``exp`` formula.
+* **Identical noise stream.**  The reference draws a memoized Laplace
   noise for every pair that passes the budget gate — *before* the
   utility/winner gates — in (sorted worker, reachable-order) order.  The
-  vectorized sweep batches those draws in exactly that order (flat CSR
-  order); numpy fills array draws element-by-element from the generator,
-  so the stream, and therefore every published release and the Table VIII
-  timeline, is unchanged.  Draws stay memoized per (pair, budget index),
-  which also preserves PGT's fixed-utility property for the shared agent
-  machinery.
-* **Scalar-publish fallback.**  The tentative *effective* pair of a
+  sweep asks its ``obfuscate`` seam for those draws in exactly that order
+  (flat CSR order); numpy fills array draws element-by-element from the
+  generator, so the stream, and therefore every published release and
+  the Table VIII timeline, is unchanged.  Draws stay memoized per (pair,
+  budget index).
+* **Scalar-publish boundary.**  The tentative *effective* pair of a
   re-proposing pair is a weighted median over its release set; that, the
   PCF gate against the winner, and the publish itself run per-pair on the
   server model — the boundary where array code hands back to the
@@ -31,29 +30,26 @@ Exactness contract (what the equivalence property tests pin):
 
 Candidates leave the sweep as a :class:`ProposalBatch` — flat arrays in
 publish (CSR) order, never materialised as per-pair ``Candidate`` objects
-— and the engine's array-form WinnerChosen consumes them directly.  The
-scalar publish boundary therefore no longer includes candidate ranking or
-winner propagation; only the release-set operations above remain scalar.
-
-Buffers come from an optional :class:`~repro.core.workspace.
-EngineWorkspace` so repeated flushes over similar instances reuse one
-arena instead of allocating eight arrays per solve; a reused buffer is
-re-filled with the same initial values a fresh allocation would carry, so
-the workspace is invisible to results.
+— which the engine's WinnerChosen consumes directly.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from repro.core.compare import pcf
 from repro.core.effective import EffectivePair
-from repro.core.workspace import EngineWorkspace
 from repro.privacy.laplace import laplace_cdf_array
 from repro.simulation.instance import ProblemInstance
 from repro.simulation.server import Server
 
 __all__ = ["ProposalBatch", "VectorSweep", "apply_value_fn", "apply_value_fn_inverse"]
+
+#: ``obfuscate(pair, budget_index)``: the would-be released distances of
+#: fresh (pair, budget index) rows, in the order given.
+Obfuscate = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def apply_value_fn(fn, xs: np.ndarray) -> np.ndarray:
@@ -81,14 +77,13 @@ def apply_value_fn_inverse(fn, vs: np.ndarray) -> np.ndarray:
 class ProposalBatch:
     """One round's surviving candidates as flat arrays (publish order).
 
-    The array-form counterpart of the scalar sweep's
+    The array-form counterpart of the reference sweep's
     ``{task: [Candidate, ...]}`` mapping: row ``r`` says worker
     ``worker[r]`` stands as a candidate for task ``task[r]`` with
     comparison key ``key[r]``, via flat CSR pair ``pair[r]``.  Rows are in
     publish order — flat CSR order after gating — which is exactly the
-    first-appearance order the mapping form's insertion order encodes,
-    so the engine's WinnerChosen can reproduce the mapping path's
-    decision order without ever building the dict.
+    first-appearance order the mapping's insertion order encodes, so the
+    engine's WinnerChosen reproduces the reference decision order.
     """
 
     __slots__ = ("pair", "task", "worker", "key")
@@ -108,17 +103,13 @@ class ProposalBatch:
         return self.task.shape[0] > 0
 
 
-def _alloc(
-    workspace: EngineWorkspace | None, name: str, size: int, dtype, fill
-) -> np.ndarray:
-    """A filled 1-D buffer: arena-backed when a workspace is leased."""
-    if workspace is None:
-        return np.full(size, fill, dtype=dtype)
-    return workspace.request(name, size, dtype, fill)
-
-
 class VectorSweep:
-    """Mutable array state of one engine run's proposal sweeps."""
+    """Mutable array state of one engine run's proposal sweeps.
+
+    ``obfuscate`` turns fresh (pair, budget index) rows into would-be
+    released distances (the engine's noise seam); ``None`` runs the exact,
+    non-private sweep.
+    """
 
     def __init__(
         self,
@@ -126,35 +117,32 @@ class VectorSweep:
         server: Server,
         objective: str,
         use_ppcf: bool,
-        private: bool,
-        rng: np.random.Generator | None,
-        workspace: EngineWorkspace | None = None,
+        obfuscate: Obfuscate | None,
     ):
         self.instance = instance
         self.server = server
         self.objective = objective
         self.use_ppcf = use_ppcf
-        self.private = private
-        self.rng = rng
+        self.obfuscate = obfuscate
+        self.private = obfuscate is not None
         pairs = instance.pairs
         num_pairs = pairs.num_pairs
-        ws = workspace
 
-        # Worker-pool and winner state (satellite of the array refactor:
-        # maintained incrementally instead of re-sorted / re-scanned).
-        self.not_winning = _alloc(ws, "not_winning", instance.num_workers, bool, True)
-        self.winner_pair = _alloc(ws, "winner_pair", instance.num_tasks, np.int64, -1)
+        # Worker-pool and winner state, maintained incrementally instead
+        # of re-sorted / re-scanned each round.
+        self.not_winning = np.full(instance.num_workers, True)
+        self.winner_pair = np.full(instance.num_tasks, -1, dtype=np.int64)
 
         # Per-pair consumption state (the array form of PairBudget).
-        self.used = _alloc(ws, "used", num_pairs, np.int64, 0)
+        self.used = np.zeros(num_pairs, dtype=np.int64)
         # Memoized tentative draw for the pair's *current* budget index.
-        self.draw_value = _alloc(ws, "draw_value", num_pairs, np.float64, 0.0)
-        self.draw_index = _alloc(ws, "draw_index", num_pairs, np.int64, -1)
+        self.draw_value = np.zeros(num_pairs)
+        self.draw_index = np.full(num_pairs, -1, dtype=np.int64)
         # Release-board summary mirrored per pair (matches the server's
         # memoized ReleaseSet.effective_pair()).
-        self.eff_distance = _alloc(ws, "eff_distance", num_pairs, np.float64, 0.0)
-        self.eff_epsilon = _alloc(ws, "eff_epsilon", num_pairs, np.float64, 0.0)
-        self.release_count = _alloc(ws, "release_count", num_pairs, np.int64, 0)
+        self.eff_distance = np.zeros(num_pairs)
+        self.eff_epsilon = np.zeros(num_pairs)
+        self.release_count = np.zeros(num_pairs, dtype=np.int64)
 
     # -- winner bookkeeping -------------------------------------------------
 
@@ -221,9 +209,9 @@ class VectorSweep:
             idx, task_i, keys = idx[beats], task_i[beats], keys[beats]
 
         # Rows stay in flat CSR order — the same first-appearance order
-        # the scalar sweep's proposal dict encodes — and are *not* sorted
-        # here: the engine's array WinnerChosen sorts per task group once,
-        # incumbents included.
+        # the reference sweep's proposal dict encodes — and are *not*
+        # sorted here: the engine's WinnerChosen sorts per task group
+        # once, incumbents included.
         return ProposalBatch(idx, task_i, self.instance.pairs.worker[idx], keys)
 
     # -- private: array gates, scalar publishes -----------------------------
@@ -233,18 +221,17 @@ class VectorSweep:
         model = self.instance.model
         used_now = self.used[idx]
 
-        # Memoized tentative draws, batched in the scalar path's order
-        # (flat CSR order == sorted worker, reachable order).  The scalar
-        # path draws for every budget-gate-passing pair before any further
-        # gate, so the batch must too — that is what keeps the shared
-        # noise stream identical.
+        # Memoized tentative draws, batched in the reference sweep's order
+        # (flat CSR order == sorted worker, reachable order).  The
+        # reference draws for every budget-gate-passing pair before any
+        # further gate, so the batch must too — that is what keeps the
+        # shared noise stream identical.
         stale = self.draw_index[idx] != used_now
         fresh = idx[stale]
         if fresh.size:
-            eps_fresh = pairs.budget_matrix[fresh, self.used[fresh]]
-            noise = self.rng.laplace(loc=0.0, scale=1.0 / eps_fresh)
-            self.draw_value[fresh] = pairs.distance[fresh] + noise
-            self.draw_index[fresh] = self.used[fresh]
+            fresh_index = self.used[fresh]
+            self.draw_value[fresh] = self.obfuscate(fresh, fresh_index)
+            self.draw_index[fresh] = fresh_index
 
         next_eps = pairs.budget_matrix[idx, used_now]
         pair_spend = pairs.budget_prefix[idx, used_now] + next_eps

@@ -228,14 +228,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the flush-fingerprint solver cache (the default)",
     )
     stream.add_argument(
-        "--no-workspace",
-        dest="workspace",
-        action="store_false",
-        default=True,
-        help="allocate fresh engine buffers per flush instead of reusing "
-        "the workspace arena",
-    )
-    stream.add_argument(
         "--faults",
         metavar="SPEC",
         default=None,
@@ -371,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
                     adaptive=args.adaptive,
                     target_flush_seconds=args.target_flush_seconds,
                     cache=args.cache,
-                    workspace=args.workspace,
                     trace=args.trace,
                     window_seconds=args.window_seconds,
                     window_budget=args.window_budget,

@@ -141,7 +141,7 @@ def format_profile(report: "StreamReport", title: str = "profile") -> str:
     from the root), printed depth-indented with count, total seconds,
     share of the method's root total, and mean milliseconds — the
     terminal cousin of a flame graph.  Zero-duration point events (cache
-    hits, workspace contention) report counts only.
+    hits, fault injections) report counts only.
     """
     blocks: list[str] = []
     for method in report.methods():

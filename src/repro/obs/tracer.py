@@ -11,7 +11,7 @@ A :class:`Tracer` records a tree of named, monotonic-clock **spans**::
 Spans nest through a stack: each span remembers the index of its parent
 (``-1`` for roots) and its depth, so the recorded flat list reconstructs
 the tree without bookkeeping at read time.  :meth:`Tracer.event` records
-a zero-duration span (cache hits, workspace contention) at the current
+a zero-duration span (cache hits, fault injections) at the current
 depth.
 
 **The off switch is the default.**  Every instrumented component takes a

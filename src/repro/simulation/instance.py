@@ -8,8 +8,8 @@ each pair's privacy budget vector ``eps_ij``.
 
 Storage is struct-of-arrays (:class:`~repro.simulation.pairs.PairArrays`):
 the feasible pairs live in CSR-by-worker index arrays with flat distance /
-budget / value columns, which is what the vectorized proposal sweeps in
-:mod:`repro.core.sweep` operate on directly.  The historical dict-shaped
+budget / value columns, which is what the vectorized proposal sweep in
+:mod:`repro.core.sweep` operates on directly.  The historical dict-shaped
 accessors (``distances``, ``budgets``, ``distance()``, ``budget_vector()``,
 ``feasible_pairs()``) are kept as thin views over the arrays so existing
 call sites keep working.
@@ -350,9 +350,10 @@ class ProblemInstance:
     def distance(self, task_index: int, worker_index: int) -> float:
         """True distance of a feasible pair.
 
-        Served from the (lazily materialised) dict view: the scalar sweep
-        probes distances pair-at-a-time, and a plain dict hit beats array
-        indexing for that access pattern.
+        Served from the (lazily materialised) dict view: pair-at-a-time
+        callers (worker agents, the reference sweep) probe distances one
+        by one, and a plain dict hit beats array indexing for that access
+        pattern.
 
         Raises
         ------

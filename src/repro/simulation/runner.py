@@ -102,22 +102,10 @@ class BatchRunner:
         ``seed`` defaults to ``options.seed`` (0 without options) — the
         facade's uniform convention.
         """
-        # Runtime imports: simulation.<mod> must stay importable from the
-        # core layer without a cycle.
-        from repro.core.engine import ConflictEliminationSolver
-        from repro.core.workspace import EngineWorkspace
-
         if seed is None:
             seed = self.options.seed if self.options is not None else 0
         report = RunReport(
             stats={s.name: MethodStats(method=s.name) for s in self.solvers}
-        )
-        # One reusable buffer arena across every (method, batch) solve —
-        # the batch-side counterpart of the streaming flush workspace.
-        workspace = (
-            EngineWorkspace()
-            if any(isinstance(s, ConflictEliminationSolver) for s in self.solvers)
-            else None
         )
         for batch_index, instance in enumerate(instances):
             for solver in self.solvers:
@@ -125,9 +113,5 @@ class BatchRunner:
                 stream = np.random.default_rng(
                     (seed, batch_index, stable_hash(solver.name))
                 )
-                if isinstance(solver, ConflictEliminationSolver):
-                    result = solver.solve(instance, seed=stream, workspace=workspace)
-                else:
-                    result = solver.solve(instance, seed=stream)
-                report.stats[solver.name].add(result)
+                report.stats[solver.name].add(solver.solve(instance, seed=stream))
         return report

@@ -16,9 +16,7 @@ in-process with its own noise stream (:mod:`repro.stream.shards`), the
 flush size can *adapt* to observed flush service times
 (:class:`~repro.stream.batcher.AdaptiveBatchController`), and recurring
 flushes can skip instance construction and solve entirely through the
-flush-fingerprint solver cache (:mod:`repro.stream.cache`), with engine
-buffers reused across flushes via the
-:class:`~repro.core.workspace.EngineWorkspace` arena.
+flush-fingerprint solver cache (:mod:`repro.stream.cache`).
 """
 
 from repro.stream.arrivals import (

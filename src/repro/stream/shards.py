@@ -404,24 +404,18 @@ def _solve_units(
     solver: "Solver",
     schedule: ShardSeedSchedule,
     units: list[tuple[int, ProblemInstance]],
-    workspace=None,
     tracer=NULL_TRACER,
 ) -> list[tuple[int, AssignmentResult]]:
     """Solve keyed units in order, each with its scheduled noise stream.
 
-    :class:`ConflictEliminationSolver` subclasses go through their
-    ``solve_shards`` entry point (which threads ``workspace`` and
-    ``tracer``); anything else falls back to per-unit ``solve`` calls.
+    :class:`ConflictEliminationSolver` runs record their engine spans under
+    ``tracer``; other solvers take no tracer.
     """
-    keys = [key for key, _ in units]
-    instances = [sub for _, sub in units]
-    seeds = [schedule.generator(key) for key in keys]
-    solve_shards = getattr(solver, "solve_shards", None)
-    if solve_shards is not None:
-        results = solve_shards(instances, seeds, workspace=workspace, tracer=tracer)
-    else:
-        results = [solver.solve(sub, seed=seed) for sub, seed in zip(instances, seeds)]
-    return list(zip(keys, results))
+    traced = {"tracer": tracer} if isinstance(solver, ConflictEliminationSolver) else {}
+    return [
+        (key, solver.solve(sub, seed=schedule.generator(key), **traced))
+        for key, sub in units
+    ]
 
 
 def solve_flush(
@@ -430,7 +424,6 @@ def solve_flush(
     schedule: ShardSeedSchedule,
     *,
     min_shard_pairs: int = MIN_SHARD_PAIRS,
-    workspace=None,
     tracer=NULL_TRACER,
 ) -> tuple[AssignmentResult, ShardCut, str]:
     """Cut one flush and solve its units in key order, in-process.
@@ -438,12 +431,10 @@ def solve_flush(
     Returns ``(result, cut, mode)``.  ``mode`` is ``"uns"`` when the
     single-unit fast path solved the flush instance directly and
     ``"seq"`` when the units were sliced, solved one by one and merged.
-    ``workspace`` (an :class:`~repro.core.workspace.EngineWorkspace`) is
-    reused by every unit solve; ``tracer`` records the ``flush.cut`` /
-    ``flush.build`` / ``flush.solve`` / ``flush.merge`` phases under the
-    caller's current span.  ``min_shard_pairs`` is the coalescing floor
-    forwarded to :func:`cut_flush`; it shapes the units, hence the noise
-    streams.
+    ``tracer`` records the ``flush.cut`` / ``flush.build`` /
+    ``flush.solve`` / ``flush.merge`` phases under the caller's current
+    span.  ``min_shard_pairs`` is the coalescing floor forwarded to
+    :func:`cut_flush`; it shapes the units, hence the noise streams.
     """
     watch = stopwatch()
     with watch:
@@ -469,7 +460,6 @@ def solve_flush(
                         solver,
                         schedule,
                         [(cut.components[0].key, instance)],
-                        workspace,
                         tracer,
                     )
                 return result, cut, "uns"
@@ -480,7 +470,7 @@ def solve_flush(
                 for component in cut.components
             ]
         with tracer.span("flush.solve"):
-            keyed_results = _solve_units(solver, schedule, units, workspace, tracer)
+            keyed_results = _solve_units(solver, schedule, units, tracer)
         with tracer.span("flush.merge"):
             merged = merge_shard_results(
                 instance, solver.name, keyed_results, elapsed_seconds=watch.elapsed

@@ -35,9 +35,7 @@ import numpy as np
 
 from repro.api.options import validate_service, validate_timeline_limit
 from repro.core.budgets import BudgetSampler
-from repro.core.engine import ConflictEliminationSolver
 from repro.core.utility import UtilityModel
-from repro.core.workspace import EngineWorkspace
 from repro.datasets.workload import Worker
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
@@ -114,14 +112,10 @@ class StreamConfig:
         (:mod:`repro.stream.cache`): flushes whose fingerprint has been
         solved before reuse the stored result instead of running the
         solver.  Bit-identical to ``cache=False`` by construction.
-    workspace:
-        Reuse one :class:`~repro.core.workspace.EngineWorkspace` buffer
-        arena across this stream's flush solves (conflict-elimination
-        solvers only; pure performance, results unchanged).
     trace:
         Record a :class:`repro.obs.Tracer` span tree of every flush
         (cache / build / cut / solve / merge / commit phases plus engine
-        round and cache/workspace point events); ``FlushRecord.
+        round and cache point events); ``FlushRecord.
         phase_seconds`` and the ``--trace-out`` / ``profile`` CLI
         artifacts come from it.  Off by default: the no-op tracer keeps
         the hot path within noise of the un-instrumented one (the
@@ -157,7 +151,6 @@ class StreamConfig:
     adaptive_min_batch: int = 8
     adaptive_max_batch: int = 2000
     cache: bool = False
-    workspace: bool = True
     trace: bool = False
     horizon: HorizonPolicy | None = None
     timeline_limit: int | None = None
@@ -243,13 +236,6 @@ class DispatchSimulator:
         #: The stream's span recorder (one timeline per run); the no-op
         #: singleton unless ``config.trace`` asked for real spans.
         self.tracer = Tracer() if self.config.trace else NULL_TRACER
-        # One reusable buffer arena for the whole stream's flush solves;
-        # only the conflict-elimination engines know how to borrow it.
-        self._workspace = (
-            EngineWorkspace(tracer=self.tracer)
-            if self.config.workspace and isinstance(solver, ConflictEliminationSolver)
-            else None
-        )
         # Flush-fingerprint solver cache: an injected instance wins (so
         # repeated runs can share one), else config.cache owns a fresh one.
         self._cache = (
@@ -297,13 +283,10 @@ class DispatchSimulator:
 
     def run(self, events: Iterable[StreamEvent]) -> StreamStats:
         """Drive the solver through ``events``; return streaming stats."""
-        try:
-            for event in events:
-                self.push_event(event)
-            self.advance(math.inf)
-            return self.finalize()
-        finally:
-            self.close()
+        for event in events:
+            self.push_event(event)
+        self.advance(math.inf)
+        return self.finalize()
 
     def push_event(self, event: StreamEvent) -> None:
         """Feed one arrival into the timeline (not yet processed).
@@ -366,8 +349,7 @@ class DispatchSimulator:
         """Close the timeline and return the stats.
 
         Anything still pending either expired inside the horizon or is
-        left unresolved (deadline beyond it).  Idempotent; also releases
-        the buffer arena.
+        left unresolved (deadline beyond it).  Idempotent.
         """
         if not self._finalized:
             self._finalized = True
@@ -375,13 +357,7 @@ class DispatchSimulator:
             self._advanced_to = max(self._advanced_to, self._last_time)
             self.stats.leftover = len(self.batcher)
             self.stats.sim_duration = self._last_time
-            self.close()
         return self.stats
-
-    def close(self) -> None:
-        """Release the buffer arena (idempotent)."""
-        if self._workspace is not None:
-            self._workspace.release()
 
     @property
     def clock(self) -> float:
@@ -560,7 +536,6 @@ class DispatchSimulator:
                         self.solver,
                         instance,
                         ShardSeedSchedule(noise_key),
-                        workspace=self._workspace,
                         tracer=tracer,
                     )
                     shards = cut.num_components

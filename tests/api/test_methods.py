@@ -21,8 +21,8 @@ class TestParseFormatRoundTrip:
             "GRD",
             "OPT",
             "PDCE(ppcf=off)",
-            "PUCE(ppcf=off, sweep=scalar)",
-            "UCE(sweep=vectorized, max_rounds=500)",
+            "PUCE(ppcf=off, max_rounds=9)",
+            "UCE(max_rounds=500)",
             "PGT(max_passes=3)",
         ],
     )
@@ -40,7 +40,7 @@ class TestParseFormatRoundTrip:
             ("PDCE(ppcf=false)", "PDCE(ppcf=off)"),
             ("PDCE(ppcf=on)", "PDCE"),  # the default normalises away
             ("PDCE(ppcf=true)", "PDCE"),
-            ("UCE(max_rounds=500,sweep=scalar)", "UCE(sweep=scalar, max_rounds=500)"),
+            ("PUCE(max_rounds=500,ppcf=off)", "PUCE(ppcf=off, max_rounds=500)"),
         ],
     )
     def test_messy_inputs_normalise(self, messy, canonical):
@@ -54,7 +54,7 @@ class TestParseFormatRoundTrip:
         assert str(MethodSpec("PDCE", ppcf=False)) == "PDCE(ppcf=off)"
 
     def test_parse_is_idempotent_on_specs(self):
-        spec = MethodSpec("PUCE", sweep="scalar")
+        spec = MethodSpec("PUCE", ppcf=False)
         assert MethodSpec.parse(spec) is spec
 
 
@@ -69,17 +69,24 @@ class TestRejection:
             "PUCE(color=red)",
             "PUCE(ppcf=0.5)",
             "UCE(ppcf=off)",  # no PPCF gate
-            "PGT(sweep=scalar)",  # not conflict-elimination
+            "PGT(sweep=scalar)",  # the sweep knob is gone for every method
             "PGT(max_rounds=5)",
             "GRD(max_passes=5)",
             "UCE(max_rounds=0)",
             "PGT(max_passes=0)",
             "UCE(sweep=simd)",
+            "UCE(sweep=scalar)",
+            "PUCE(sweep=vectorized, max_rounds=500)",
+            "PDCE(ppcf=on_or_off)",  # values are on/off/true/false or ints
         ],
     )
     def test_bad_specs_raise_configuration_error(self, text):
         with pytest.raises(ConfigurationError):
             MethodSpec.parse(text)
+
+    def test_sweep_is_an_unknown_parameter(self):
+        with pytest.raises(ConfigurationError, match="unknown method parameter 'sweep'"):
+            MethodSpec.parse("UCE(sweep=scalar)")
 
 
 class TestMake:
@@ -95,25 +102,23 @@ class TestMake:
             assert spec.make().is_private == spec.is_private
 
     def test_spec_parameters_reach_the_solver(self):
-        solver = MethodSpec.parse("UCE(sweep=scalar, max_rounds=7)").make()
-        assert solver.sweep == "scalar"
+        solver = MethodSpec.parse("UCE(max_rounds=7)").make()
         assert solver.max_rounds == 7
         assert MethodSpec.parse("PGT(max_passes=3)").make().max_passes == 3
 
     def test_options_fill_the_gaps_spec_wins(self):
-        options = SolveOptions(sweep="vectorized", max_rounds=11, ppcf=False)
+        options = SolveOptions(max_rounds=11, ppcf=False)
         filled = MethodSpec.parse("PUCE").make(options)
-        assert filled.sweep == "vectorized"
         assert filled.max_rounds == 11
         assert filled.name == "PUCE-nppcf"
         # Spec-level parameters beat the options.
-        pinned = MethodSpec.parse("PUCE(sweep=scalar)").make(options)
-        assert pinned.sweep == "scalar"
+        pinned = MethodSpec.parse("PUCE(max_rounds=5)").make(options)
+        assert pinned.max_rounds == 5
 
     def test_make_solver_accepts_specs_and_options(self):
         assert make_solver("PDCE(ppcf=off)").name == "PDCE-nppcf"
-        assert make_solver(MethodSpec("UCE", sweep="scalar")).sweep == "scalar"
-        assert make_solver("UCE", SolveOptions(sweep="scalar")).sweep == "scalar"
+        assert make_solver(MethodSpec("UCE", max_rounds=3)).max_rounds == 3
+        assert make_solver("UCE", SolveOptions(max_rounds=4)).max_rounds == 4
 
     def test_make_solver_plain_names_unchanged(self):
         """Every pre-registered name still builds, with the same defaults.

@@ -49,6 +49,26 @@ class TestValidation:
             {"timeline_limit": 3},
             {"timeline_limit": 0},
             {"timeline_limit": True},
+            # Mistyped wire values: truthy strings, non-int counts,
+            # numeric strings, and bools posing as numbers.
+            {"ppcf": "off"},
+            {"ppcf": 0},
+            {"cache": "false"},
+            {"adaptive": 1},
+            {"trace": "yes"},
+            {"workspace": "off"},
+            {"max_batch_size": 2.5},
+            {"max_batch_size": True},
+            {"seed": "7"},
+            {"max_rounds": 10.0},
+            {"max_shard_workers": 1.5},
+            {"shards": 2.5},
+            {"sweep_auto_threshold": True},
+            {"max_wait": "0.1"},
+            {"max_wait": True},
+            {"target_flush_seconds": "fast"},
+            {"window_seconds": "5"},
+            {"window_seconds": 5.0, "window_budget": False},
         ],
     )
     def test_invalid_knobs_raise_typed_errors(self, bad):
@@ -79,8 +99,9 @@ class TestValidation:
 
 
 class TestDeprecatedShardKeys:
-    """``shards`` / ``parallel`` / ``max_shard_workers``: inert, validated
-    as before, and announced once per construction when set."""
+    """The inert keys — ``shards`` / ``parallel`` / ``max_shard_workers``
+    and the engine's ``sweep`` / ``sweep_auto_threshold`` / ``workspace``:
+    validated as before, and announced once per construction when set."""
 
     @pytest.mark.parametrize(
         ("bad", "message"),
@@ -91,6 +112,11 @@ class TestDeprecatedShardKeys:
                 "unknown parallel mode 'bogus'; choose from ('off', 'thread', 'process')",
             ),
             ({"max_shard_workers": 0}, "max_shard_workers must be >= 1, got 0"),
+            ({"sweep": "simd"}, "unknown sweep implementation 'simd'"),
+            (
+                {"sweep_auto_threshold": -1},
+                "sweep_auto_threshold must be a non-negative int or None, got -1",
+            ),
         ],
     )
     def test_invalid_values_raise_as_before(self, bad, message):
@@ -106,6 +132,10 @@ class TestDeprecatedShardKeys:
             {"parallel": "process"},
             {"max_shard_workers": 2},
             {"shards": "auto", "parallel": "process", "max_shard_workers": 2},
+            {"sweep": "scalar"},
+            {"sweep_auto_threshold": 5},
+            {"workspace": False},
+            {"sweep": "vectorized", "sweep_auto_threshold": 0, "workspace": False},
         ],
     )
     def test_off_default_value_warns_once(self, legacy):
@@ -116,13 +146,28 @@ class TestDeprecatedShardKeys:
             assert getattr(options, name) == value
 
     def test_defaults_do_not_warn(self, recwarn):
-        SolveOptions(shards="auto", parallel="off", max_shard_workers=None)
+        SolveOptions(
+            shards="auto",
+            parallel="off",
+            max_shard_workers=None,
+            sweep="auto",
+            sweep_auto_threshold=None,
+            workspace=True,
+        )
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
 
     @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_keys_do_not_reach_the_stream_config(self):
         legacy = SolveOptions(shards=3, parallel="process", max_shard_workers=2)
         assert legacy.stream_config() == SolveOptions().stream_config()
+
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_engine_keys_do_not_reach_the_solver_or_stream(self):
+        from repro.core.registry import make_solver
+
+        legacy = SolveOptions(sweep="scalar", sweep_auto_threshold=5, workspace=False)
+        assert legacy.stream_config() == SolveOptions().stream_config()
+        assert vars(make_solver("UCE", legacy)) == vars(make_solver("UCE"))
 
 
 class TestMappingRoundTrip:
@@ -153,20 +198,11 @@ class TestProjection:
         assert config.adaptive is True
         assert config.target_flush_seconds == 0.1
         assert config.cache is False
-        assert config.workspace is True
 
     def test_stream_config_carries_the_flush_hot_path_knobs(self):
-        config = SolveOptions(cache=True, workspace=False).stream_config()
+        config = SolveOptions(cache=True, trace=True).stream_config()
         assert config.cache is True
-        assert config.workspace is False
-
-    def test_sweep_auto_threshold_reaches_the_engine(self):
-        from repro.core.registry import make_solver
-
-        solver = make_solver("UCE", SolveOptions(sweep_auto_threshold=5))
-        assert solver.sweep_auto_threshold == 5
-        default = make_solver("UCE", SolveOptions())
-        assert default.sweep_auto_threshold == type(default).VECTOR_MIN_PAIRS
+        assert config.trace is True
 
     def test_stream_config_extra_passthrough(self):
         config = SolveOptions().stream_config(speed=9.0, min_service=0.25)

@@ -50,7 +50,14 @@ ROOT = Path(__file__).resolve().parents[2]
 SPEC_FILES = sorted(ROOT.glob("examples/scenario_*.json")) + sorted(
     ROOT.glob("perfbench/specs/*.json")
 )
-DEPRECATED_DEFAULTS = {"shards": "auto", "parallel": "off", "max_shard_workers": None}
+DEPRECATED_DEFAULTS = {
+    "sweep": "auto",
+    "sweep_auto_threshold": None,
+    "shards": "auto",
+    "parallel": "off",
+    "max_shard_workers": None,
+    "workspace": True,
+}
 
 
 class TestShippedSpecs:

@@ -131,41 +131,6 @@ class TestResourceLifecycle:
             session.run([])
         assert multiprocessing.active_children() == []
 
-    def test_finish_releases_the_workspace_arena(self):
-        session = DispatchSession("UCE", options=SolveOptions(max_wait=0.05))
-        fleet(session)
-        session.submit_task(Task(id=0, location=Point(0.5, 0.0), value=4.5), at=0.01)
-        session.advance(0.2)
-        workspace = session._simulator._workspace
-        assert workspace is not None
-        session.finish()
-        # The same pooled-resource guarantee the shard executors have:
-        # a finished session holds no arena memory.
-        assert workspace.held_bytes == 0
-
-    def test_failed_run_releases_the_workspace_arena(self):
-        from repro.core.nonprivate import UCESolver
-
-        class ExplodingEngine(UCESolver):
-            def solve(self, instance, seed=None, **kwargs):
-                raise RuntimeError("solver exploded")
-
-        session = DispatchSession(
-            ExplodingEngine(), options=SolveOptions(max_wait=0.05)
-        )
-        fleet(session)
-        workspace = session._simulator._workspace
-        assert workspace is not None
-        # Seed the arena so the release is observable.
-        workspace.request("probe", 64, float, 0.0)
-        assert workspace.held_bytes > 0
-        with pytest.raises(RuntimeError, match="exploded"):
-            session.submit_task(
-                Task(id=0, location=Point(0.5, 0.0), value=4.5), at=0.01
-            )
-            session.run([])
-        assert workspace.held_bytes == 0
-
     def test_drain_releases_consumed_events(self):
         session = DispatchSession("UCE", options=SolveOptions(max_wait=0.05))
         fleet(session)

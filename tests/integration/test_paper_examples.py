@@ -17,6 +17,7 @@ from repro.core.pgt import BestResponseStats, PGTSolver
 from repro.core.puce import PUCESolver
 from repro.simulation.server import Server
 from tests.conftest import build_instance
+from tests.reference.scalar_sweep import ScalarSweepSolver
 
 # --- The Example 2/3 world (Tables III and IV) --------------------------
 
@@ -96,7 +97,23 @@ def preload_all(agents):
 
 
 class ReplayPUCE(PUCESolver):
-    """PUCE with the Table IV noise draws pinned."""
+    """PUCE with the Table IV noise draws pinned through the noise seam."""
+
+    def _obfuscated_distances(self, instance, rng, pair, budget_index):
+        pairs = instance.pairs
+        return np.array(
+            [
+                DRAWS[(int(pairs.task[p]), int(pairs.worker[p]))][u]
+                for p, u in zip(pair.tolist(), budget_index.tolist())
+            ]
+        )
+
+
+class ReplayReferencePUCE(ScalarSweepSolver):
+    """PUCE on the reference sweep, Table IV draws preloaded per agent."""
+
+    def __init__(self):
+        super().__init__(PUCESolver().policy)
 
     def _build_agents(self, instance, rng):
         agents = build_agents(instance, rng)
@@ -163,6 +180,14 @@ class TestExample2PUCE:
         # w2 published 0.1+4.6+0.1 across three tasks; bound = spend * 15.
         assert result.ledger.worker_spend(1) == pytest.approx(4.8)
         assert result.worker_ldp_bound(1) == pytest.approx(4.8 * 15.0)
+
+
+class TestExample2PUCEReference(TestExample2PUCE):
+    """The same trace on the agent-at-a-time reference sweep."""
+
+    @pytest.fixture
+    def result(self):
+        return ReplayReferencePUCE().solve(example_instance(), seed=0)
 
 
 class TestExample3PGT:

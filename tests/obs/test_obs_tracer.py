@@ -174,7 +174,7 @@ class TestAggregatePhases:
     def test_non_prefix_children_are_skipped(self):
         spans = [
             self._span("flush", 1.0, -1, 0, 0),
-            self._span("workspace.lease", 0.0, 0, 1, 1),
+            self._span("fault.worker_departure", 0.0, 0, 1, 1),
             self._span("flush.commit", 0.3, 0, 2, 1),
         ]
         assert aggregate_phases(spans) == {"commit": pytest.approx(0.3)}

@@ -1,12 +1,7 @@
-"""Bit-identity of the flush hot path: workspace reuse and solver cache.
+"""Bit-identity of the flush hot path: the flush-fingerprint solver cache.
 
-Three guarantees pin PR 5's zero-rebuild machinery:
+Two guarantees pin it:
 
-* **Workspace reuse is invisible.**  Solving through one shared
-  :class:`~repro.core.workspace.EngineWorkspace` — including back-to-back
-  solves that re-fill dirty buffers — produces exactly the results and
-  round traces of fresh per-solve allocation, for every
-  conflict-elimination method, seed for seed.
 * **Cache on == cache off.**  A stream run with the flush-fingerprint
   solver cache enabled is bit-identical (stats, flush records, privacy
   timeline, per-worker ledgers) to the same run without it, for private
@@ -21,8 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.options import SolveOptions
-from repro.core.engine import ConflictEliminationSolver, EliminationPolicy
-from repro.core.workspace import EngineWorkspace
 from repro.datasets.synthetic import NormalGenerator
 from repro.stream.arrivals import PoissonProcess, StreamWorkload
 from repro.stream.cache import (
@@ -33,15 +26,6 @@ from repro.stream.cache import (
 )
 from repro.stream.runner import StreamRunner
 
-CE_POLICIES = (
-    EliminationPolicy("PUCE", "utility", private=True),
-    EliminationPolicy("PUCE-nppcf", "utility", private=True, use_ppcf=False),
-    EliminationPolicy("PDCE", "distance", private=True),
-    EliminationPolicy("PDCE-nppcf", "distance", private=True, use_ppcf=False),
-    EliminationPolicy("UCE", "utility", private=False),
-    EliminationPolicy("DCE", "distance", private=False),
-)
-
 STREAM_METHODS = ("PUCE", "UCE", "PDCE", "GRD", "PGT")
 
 
@@ -49,63 +33,6 @@ def generated_instance(seed, num_tasks=18, num_workers=36):
     return NormalGenerator(
         num_tasks=num_tasks, num_workers=num_workers, seed=seed
     ).instance(task_value=4.5, worker_range=1.4)
-
-
-def assert_results_identical(a, b, context):
-    assert a.matching.pairs == b.matching.pairs, context
-    assert a.rounds == b.rounds, context
-    assert a.publishes == b.publishes, context
-    assert list(a.ledger.events()) == list(b.ledger.events()), context
-    assert set(a.release_board or {}) == set(b.release_board or {}), context
-    for key, releases in (a.release_board or {}).items():
-        assert releases.releases == b.release_board[key].releases, (context, key)
-
-
-class TestWorkspaceReuseEquivalence:
-    @settings(max_examples=10, deadline=None)
-    @given(
-        instance_seed=st.integers(0, 2**20),
-        noise_seed=st.integers(0, 2**20),
-        policy_index=st.integers(0, len(CE_POLICIES) - 1),
-    )
-    def test_shared_arena_solves_are_bit_identical(
-        self, instance_seed, noise_seed, policy_index
-    ):
-        policy = CE_POLICIES[policy_index]
-        instance = generated_instance(instance_seed)
-        workspace = EngineWorkspace()
-        solver = ConflictEliminationSolver(policy, sweep="vectorized")
-        # Two arena solves in a row: the second reuses dirty buffers.
-        for attempt in range(2):
-            with_ws, trace_ws = solver.solve_with_trace(
-                instance, seed=noise_seed, workspace=workspace
-            )
-            fresh, trace_fresh = solver.solve_with_trace(instance, seed=noise_seed)
-            assert_results_identical(
-                with_ws, fresh, (policy.name, instance_seed, attempt)
-            )
-            assert trace_ws == trace_fresh
-
-    def test_arena_reuse_across_different_instance_shapes(self):
-        # Growing, shrinking, growing again: buffer views must always be
-        # freshly filled, never leak prior-solve state.
-        workspace = EngineWorkspace()
-        solver = ConflictEliminationSolver(CE_POLICIES[0], sweep="vectorized")
-        for seed, shape in ((0, (20, 40)), (1, (6, 9)), (2, (30, 55)), (3, (6, 9))):
-            instance = generated_instance(seed, *shape)
-            with_ws = solver.solve(instance, seed=seed, workspace=workspace)
-            fresh = solver.solve(instance, seed=seed)
-            assert_results_identical(with_ws, fresh, (seed, shape))
-        assert workspace.reuses > 0
-
-    def test_solve_shards_share_one_arena(self):
-        solver = ConflictEliminationSolver(CE_POLICIES[0])
-        instances = [generated_instance(s, 10, 20) for s in (4, 5, 6)]
-        workspace = EngineWorkspace()
-        pooled = solver.solve_shards(instances, seeds=[1, 2, 3], workspace=workspace)
-        plain = solver.solve_shards(instances, seeds=[1, 2, 3])
-        for a, b, instance in zip(pooled, plain, instances):
-            assert_results_identical(a, b, instance)
 
 
 def small_workload(workload_seed):

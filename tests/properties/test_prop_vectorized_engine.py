@@ -2,11 +2,12 @@
 
 Two families of guarantees:
 
-* the **vectorized** WorkerProposal sweep is *pair-identical* to the
-  pre-refactor scalar path — same matching, same round trace, same
-  publish timeline, same ledger events — for every conflict-elimination
-  method, seed for seed (they share one noise stream, so this is exact
-  equality, not approximate);
+* the runtime engine (vectorized sweep + plain-list WinnerChosen) is
+  *pair-identical* to the agent-at-a-time reference sweep in
+  ``tests/reference/`` — same matching, same round trace, same publish
+  timeline, same ledger events — for every conflict-elimination method,
+  seed for seed (they share one noise stream, so this is exact equality,
+  not approximate);
 * the CSR pair arrays and their dict-shaped **compatibility views**
   (``distances``, ``budgets``, ``distance()``, ``budget_vector()``,
   ``feasible_pairs()`` order) describe the same instance whichever
@@ -24,6 +25,7 @@ from repro.core.utility import PowerValue, UtilityModel
 from repro.datasets.synthetic import NormalGenerator, UniformGenerator
 from repro.simulation.instance import ProblemInstance
 from tests.conftest import build_instance, line_instance
+from tests.reference.scalar_sweep import ScalarSweepSolver
 
 CE_POLICIES = (
     EliminationPolicy("PUCE", "utility", private=True),
@@ -75,8 +77,8 @@ class TestVectorizedScalarEquivalence:
     def test_pair_identical_results_and_traces(self, policy):
         for case, instance in enumerate(random_instances()):
             for seed in (0, 17):
-                vec = ConflictEliminationSolver(policy, sweep="vectorized")
-                scl = ConflictEliminationSolver(policy, sweep="scalar")
+                vec = ConflictEliminationSolver(policy)
+                scl = ScalarSweepSolver(policy)
                 a, trace_a = vec.solve_with_trace(instance, seed=seed)
                 b, trace_b = scl.solve_with_trace(instance, seed=seed)
                 assert_results_identical(a, b, (policy.name, case, seed))
@@ -117,46 +119,21 @@ class TestVectorizedScalarEquivalence:
     def test_hypothesis_workloads_pin_the_array_winner_chosen(
         self, instance_seed, noise_seed, num_tasks, worker_factor, policy_index
     ):
-        """Vectorized (array WinnerChosen + small-round form) == scalar,
-        on hypothesis-chosen instance shapes spanning both sides of the
-        small-round candidate bound — the PR-5 equivalence pin."""
+        """Runtime engine == reference sweep on hypothesis-chosen
+        instance shapes, from a handful of candidates per round to
+        hundreds."""
         policy = CE_POLICIES[policy_index]
         instance = NormalGenerator(
             num_tasks=num_tasks,
             num_workers=num_tasks * worker_factor,
             seed=instance_seed,
         ).instance(task_value=4.5, worker_range=1.4)
-        vec = ConflictEliminationSolver(policy, sweep="vectorized")
-        scl = ConflictEliminationSolver(policy, sweep="scalar")
+        vec = ConflictEliminationSolver(policy)
+        scl = ScalarSweepSolver(policy)
         a, trace_a = vec.solve_with_trace(instance, seed=noise_seed)
         b, trace_b = scl.solve_with_trace(instance, seed=noise_seed)
         assert_results_identical(a, b, (policy.name, instance_seed, noise_seed))
         assert trace_a == trace_b
-
-    def test_scalar_fallback_for_overridden_proposal_hooks(self):
-        """Custom scalar proposal hooks route the run to the scalar path.
-
-        The vectorized sweep never calls ``_build_agents`` (replay
-        harnesses), ``_worker_proposal``, ``_evaluate_pair`` or
-        ``_beats_winner_private``; overriding any of them must disable it.
-        """
-        instance = line_instance(seed=1)
-        for hook in (
-            "_build_agents",
-            "_worker_proposal",
-            "_evaluate_pair",
-            "_beats_winner_private",
-            "_incumbent_entry",
-        ):
-            custom = type(
-                "CustomSolver",
-                (ConflictEliminationSolver,),
-                {hook: lambda self, *args, **kwargs: None},
-            )(CE_POLICIES[0])
-            assert custom._make_sweep_state(instance, object(), None) is None, hook
-
-        stock = ConflictEliminationSolver(CE_POLICIES[0])
-        assert stock._make_sweep_state(instance, object(), None) is not None
 
 
 class TestCSRViews:

@@ -136,6 +136,19 @@ class TestSessionLifecycle:
 
         run(scenario())
 
+    def test_mistyped_option_values_are_configuration_errors(self):
+        # A truthy "off" must not open a PUCE with its PPCF gate on.
+        async def scenario():
+            service = DispatchService()
+            client = ServiceClient(service, "a", raise_errors=False)
+            reply = await client.open("PUCE", options={"ppcf": "off"})
+            assert isinstance(reply, ErrorReply)
+            assert reply.code == "ConfigurationError"
+            assert "ppcf" in reply.message
+            await service.close()
+
+        run(scenario())
+
     def test_server_side_failure_becomes_service_error(self):
         async def scenario():
             service = DispatchService()

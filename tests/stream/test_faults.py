@@ -135,7 +135,7 @@ class TestFaultPlan:
 
 
 def churn_stream_config(**overrides):
-    defaults = dict(max_batch_size=8, max_wait=0.05, workspace=False)
+    defaults = dict(max_batch_size=8, max_wait=0.05)
     defaults.update(overrides)
     return StreamConfig(**defaults)
 

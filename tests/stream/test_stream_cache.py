@@ -146,7 +146,6 @@ class TestDutyCycleScenario:
     def test_rush_hour_scenario_enables_the_cache(self):
         spec = ScenarioSpec.from_file("examples/scenario_rush_hour.json")
         assert spec.options.cache is True
-        assert spec.options.workspace is True
 
 
 class TestCacheOffByDefault:
