@@ -33,11 +33,10 @@ Packages:
   windowed stream indicators, metrics registry + Prometheus/JSONL export,
 * :mod:`repro.service`    -- the multi-tenant dispatch service: many
   concurrent sessions on one asyncio loop, typed wire records, a shared
-  persistent flush cache, per-tenant budgets and admission shedding,
+  in-memory flush cache, per-tenant budgets and admission shedding,
   crash-safe write-ahead tenant journals and recovery,
 * :mod:`repro.faults`     -- deterministic fault injection: a seeded
-  `FaultPlan` drives snapshot corruption, consumer stalls and worker
-  departures,
+  `FaultPlan` drives consumer stalls and worker departures,
 * :mod:`repro.experiments`-- the per-figure reproduction harness and the
   ``stream`` / ``scenario`` / ``profile`` / ``serve`` CLIs.
 
@@ -135,7 +134,6 @@ from repro.errors import (
     ConvergenceError,
     DatasetError,
     FlushBudgetError,
-    InjectedFault,
     InvalidInstanceError,
     JournalError,
     MatchingError,
@@ -332,7 +330,6 @@ __all__ = [
     "ConfigurationError",
     "InvalidInstanceError",
     "FlushBudgetError",
-    "InjectedFault",
     "JournalError",
     "BudgetExhaustedError",
     "MatchingError",

@@ -22,7 +22,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -31,6 +31,7 @@ __all__ = [
     "PARALLEL_MODES",
     "COMPOSITION_RULES",
     "SolveOptions",
+    "check_field_types",
     "reject_unknown_keys",
     "validate_sweep",
     "validate_sweep_threshold",
@@ -41,6 +42,7 @@ __all__ = [
     "validate_horizon",
     "validate_timeline_limit",
     "validate_faults",
+    "validate_seed",
 ]
 
 #: Values the deprecated ``sweep`` option still accepts (inert: the engine
@@ -82,22 +84,59 @@ def _is_bool(value: Any) -> bool:
     return isinstance(value, bool)
 
 
-#: ``(fields, expected, check, None allowed)`` for every typed
-#: :class:`SolveOptions` field whose own validator does not check its
-#: type.  ``bool`` is never a number here.
+#: The field kinds :func:`check_field_types` knows: the phrase an error
+#: uses and the predicate.  ``bool`` is never a number here.
+_KINDS = {
+    "bool": ("a bool", _is_bool),
+    "int": ("an int", _is_int),
+    "real": ("a real number", _is_real),
+}
+
+#: ``(fields, kind, None allowed)`` for every typed :class:`SolveOptions`
+#: field whose own validator does not check its type.
 _FIELD_TYPES = (
-    (("adaptive", "cache", "trace", "workspace"), "a bool", _is_bool, False),
-    (("ppcf",), "a bool or None", _is_bool, True),
-    (("seed", "max_batch_size"), "an int", _is_int, False),
-    (("max_rounds", "max_shard_workers"), "an int or None", _is_int, True),
-    (("max_wait", "target_flush_seconds"), "a real number", _is_real, False),
-    (
-        ("window_seconds", "window_budget", "window_decay"),
-        "a real number or None",
-        _is_real,
-        True,
-    ),
+    (("adaptive", "cache", "trace", "workspace"), "bool", False),
+    (("ppcf",), "bool", True),
+    (("max_batch_size",), "int", False),
+    (("max_rounds", "max_shard_workers"), "int", True),
+    (("max_wait", "target_flush_seconds"), "real", False),
+    (("window_seconds", "window_budget", "window_decay"), "real", True),
 )
+
+
+def check_field_types(
+    record: Any, table: Iterable[tuple[tuple[str, ...], str, bool]]
+) -> None:
+    """Check the fields of a config record against a type ``table``.
+
+    ``table`` holds ``(fields, kind, None allowed)`` rows, ``kind`` one
+    of ``"bool"``, ``"int"`` or ``"real"``.  Run before any range check:
+    JSON from the wire arrives as-is, and an "off" flag is truthy while
+    a "0.1" float fails a range check as a bare ``TypeError``.
+    """
+    for names, kind, nullable in table:
+        expected, check = _KINDS[kind]
+        for name in names:
+            value = getattr(record, name)
+            if not (check(value) or (nullable and value is None)):
+                expected_text = f"{expected} or None" if nullable else expected
+                raise ConfigurationError(
+                    f"{name} must be {expected_text}, got {value!r}"
+                )
+
+
+def validate_seed(seed: Any, name: str = "seed") -> int:
+    """Check a seed: a non-negative int, never a bool.
+
+    numpy refuses a negative seed only when a flush first draws from it,
+    by which point the flush's tasks have left the batcher.  Returns the
+    seed for chaining.
+    """
+    if not _is_int(seed) or seed < 0:
+        raise ConfigurationError(
+            f"{name} must be a non-negative int, got {seed!r}"
+        )
+    return seed
 
 
 def reject_unknown_keys(
@@ -287,8 +326,9 @@ class SolveOptions:
     Parameters
     ----------
     seed:
-        Base seed for noise streams and arrival draws.  Entry points that
-        also take an explicit ``seed`` argument treat it as an override.
+        Base seed (a non-negative int) for noise streams and arrival
+        draws.  Entry points that also take an explicit ``seed``
+        argument treat it as an override.
     ppcf:
         Method override: force the real-distance PPCF gate on (``True``)
         or off (``False``) for PUCE/PDCE.  ``None`` keeps each method's
@@ -309,11 +349,11 @@ class SolveOptions:
         :class:`~repro.stream.batcher.AdaptiveBatchController`).
     cache:
         Enable the flush-fingerprint solver cache
-        (:mod:`repro.stream.cache`): flushes whose fingerprint — pair
-        arrays, method, noise schedule, per-worker remaining budgets —
-        has been solved before skip the solve.  Results are bit-identical
-        to ``cache=False`` (deterministic configs; adaptive batching is
-        wall-clock-driven either way).
+        (:mod:`repro.stream.cache`): flushes whose fingerprint — task
+        and worker records, method, noise schedule, per-worker remaining
+        budgets — has been solved before skip the build and the solve.
+        Results are bit-identical to ``cache=False`` (deterministic
+        configs; adaptive batching is wall-clock-driven either way).
     trace:
         Record per-flush span trees (:mod:`repro.obs`): phase breakdowns
         in ``FlushRecord.phase_seconds`` and the ``--trace-out`` /
@@ -369,16 +409,8 @@ class SolveOptions:
     faults: Any = None
 
     def __post_init__(self) -> None:
-        # Types first: JSON from the wire arrives as-is, and an "off"
-        # flag is truthy while a "0.1" float fails a range check as a
-        # bare TypeError.
-        for names, expected, check, nullable in _FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if not (check(value) or (nullable and value is None)):
-                    raise ConfigurationError(
-                        f"{name} must be {expected}, got {value!r}"
-                    )
+        check_field_types(self, _FIELD_TYPES)
+        validate_seed(self.seed)
         validate_sweep(self.sweep)
         validate_sweep_threshold(self.sweep_auto_threshold)
         validate_sharding(self.shards, self.parallel, self.max_shard_workers)

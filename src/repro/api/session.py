@@ -55,6 +55,7 @@ from repro.api.options import (
     SolveOptions,
     reject_unknown_keys,
     validate_default_deadline,
+    validate_seed,
 )
 from repro.api.wire import (
     Advance,
@@ -94,7 +95,8 @@ class SessionConfig:
         sampler); when given, it wins over the streaming fields of
         ``options``.
     seed:
-        Override of ``options.seed`` for the session's noise streams.
+        Override of ``options.seed`` for the session's noise streams (a
+        non-negative int).
     default_deadline:
         Patience given to ``submit_task`` calls that omit ``deadline``.
     record_assignments:
@@ -105,8 +107,7 @@ class SessionConfig:
         sessions (repeated runs of one scenario hit it even for private
         methods, whose per-flush noise keys recur run to run).  Omitted,
         ``options.cache`` decides whether the session owns a private
-        one.  Process-local — it does not serialize; use the cache's own
-        snapshot persistence to move it between processes.
+        one.  In-memory and process-local: it never serializes.
     """
 
     options: SolveOptions = SolveOptions()
@@ -126,10 +127,8 @@ class SessionConfig:
                 f"stream must be a StreamConfig or None, "
                 f"got {type(self.stream).__name__}"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"seed must be an int or None, got {self.seed!r}"
-            )
+        if self.seed is not None:
+            validate_seed(self.seed)
         if self.cache is not None and not isinstance(self.cache, FlushSolverCache):
             raise ConfigurationError(
                 f"cache must be a FlushSolverCache or None, "

@@ -72,21 +72,6 @@ class DatasetError(ReproError):
     """A workload generator or loader received invalid parameters or data."""
 
 
-class InjectedFault(ReproError):
-    """A deterministic fault fired from an active :class:`~repro.faults.FaultPlan`.
-
-    Injection sites raise this to simulate a crash; recovery paths treat
-    it exactly like the organic failure it stands in for.  ``kind`` is
-    one of :data:`repro.faults.FAULT_KINDS`; ``site`` names where in the
-    code the fault fired.
-    """
-
-    def __init__(self, message: str, *, kind: str = "", site: str = ""):
-        super().__init__(message)
-        self.kind = kind
-        self.site = site
-
-
 class JournalError(ReproError):
     """A tenant journal is unusable (unwritable directory, bad header).
 

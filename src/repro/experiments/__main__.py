@@ -80,7 +80,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             tenant_budget=args.tenant_budget,
             cache_entries=args.cache_entries,
             cache_bytes=args.cache_bytes or None,
-            snapshot_path=args.snapshot,
             journal_dir=args.journal_dir,
         )
     except ReproError as exc:
@@ -311,12 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=256 * 2**20,
         help="shared flush-cache byte bound (0 disables the byte bound)",
-    )
-    serve.add_argument(
-        "--snapshot",
-        metavar="PATH",
-        default=None,
-        help="persist the shared cache here (loaded on start, saved on exit)",
     )
     serve.add_argument(
         "--journal-dir",

@@ -8,8 +8,8 @@ fires at some *site* of some *flush* purely from
 so a failure test replays exactly, down to which flush sees the fault.
 
 The plan is threaded explicitly where possible (``StreamConfig.faults``);
-layers without a config path (the cache snapshot loader, the service
-consumer) consult the process-wide :func:`active_fault_plan`, settable in code
+the layer without a config path (the service consumer) consults the
+process-wide :func:`active_fault_plan`, settable in code
 (:func:`set_fault_plan`, the :func:`fault_injection` context manager) or
 via the ``REPRO_FAULTS`` environment variable (``smoke`` enables the
 low-rate CI plan; a JSON object spells an explicit plan).
@@ -17,9 +17,6 @@ low-rate CI plan; a JSON object spells an explicit plan).
 Fault kinds and their injection sites:
 
 ==================  =======================================================
-``snapshot_corrupt``
-                    :meth:`FlushSolverCache.load` — the snapshot reads as
-                    garbage and the cache starts cold (with a warning).
 ``queue_stall``     the service's per-tenant consumer — the request yields
                     the loop a few extra times before applying (observable
                     latency, never a changed result).
@@ -30,9 +27,8 @@ Fault kinds and their injection sites:
                     **not** part of the smoke plan).
 ==================  =======================================================
 
-Except for ``worker_departure``, injected faults are *masked* failures:
-a cold cache and a stalled consumer cost time, never results, so the run
-completes bit-identical to the fault-free run.
+``queue_stall`` is a *masked* failure: a stalled consumer costs time,
+never results, so the run completes bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from repro.errors import ConfigurationError, InjectedFault
+from repro.errors import ConfigurationError
 from repro.utils.rng import stable_hash
 
 __all__ = [
@@ -61,9 +57,8 @@ __all__ = [
 ]
 
 #: Every fault kind a plan may rate.  The single source of truth — the
-#: simulator, cache and service sites all spell these strings.
+#: simulator and service sites both spell these strings.
 FAULT_KINDS = (
-    "snapshot_corrupt",
     "queue_stall",
     "worker_departure",
 )
@@ -71,10 +66,7 @@ FAULT_KINDS = (
 #: Kinds whose injection is guaranteed result-preserving.
 #: ``worker_departure`` is excluded: removing a worker legitimately
 #: changes the dispatch outcome.
-MASKED_FAULT_KINDS = (
-    "snapshot_corrupt",
-    "queue_stall",
-)
+MASKED_FAULT_KINDS = ("queue_stall",)
 
 
 @dataclass(frozen=True)
@@ -87,13 +79,19 @@ class FaultPlan:
     the uniform draw comes from ``default_rng`` seeded with
     ``(seed, hash(kind), hash(site), *key)`` — so retries, other sites
     and other flushes are independent, yet every run of the same plan
-    sees the same faults in the same places.
+    sees the same faults in the same places.  ``seed`` is a non-negative
+    int, checked here rather than at the first draw.
     """
 
     seed: int = 0
     rates: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Lazy: importing repro.api reaches the simulator, which imports
+        # this module.
+        from repro.api.options import validate_seed
+
+        validate_seed(self.seed, "fault-plan seed")
         object.__setattr__(self, "rates", dict(self.rates))
         unknown = sorted(set(self.rates) - set(FAULT_KINDS))
         if unknown:
@@ -180,15 +178,6 @@ class FaultPlan:
             *(int(k) for k in key),
         )
         return float(np.random.default_rng(entropy).random()) < rate
-
-    def fire(self, kind: str, key: tuple[int, ...] = (), site: str = "") -> None:
-        """Raise :class:`~repro.errors.InjectedFault` if the fault fires."""
-        if self.should_fire(kind, key, site):
-            raise InjectedFault(
-                f"injected {kind} fault at site {site!r} key {key}",
-                kind=kind,
-                site=site,
-            )
 
 
 def smoke_plan() -> FaultPlan:

@@ -3,10 +3,10 @@
 :class:`DispatchService` multiplexes many concurrent tenant
 :class:`~repro.api.session.DispatchSession`s on one asyncio loop — one
 bounded inbound queue per tenant carrying the typed wire records of
-:mod:`repro.api.wire`, a process-wide shared flush-fingerprint cache
-with LRU/byte eviction and snapshot persistence, per-tenant
-privacy-budget accounting surfaced as service metrics, and admission
-shedding driven by the observed-vs-target flush-time signal.  With
+:mod:`repro.api.wire`, a process-wide shared in-memory flush-fingerprint
+cache with LRU/byte eviction, per-tenant privacy-budget accounting
+surfaced as service metrics, and admission shedding driven by the
+observed-vs-target flush-time signal.  With
 ``ServiceConfig.journal_dir`` set, accepted requests are written ahead
 to per-tenant crash-safe journals (:class:`~repro.service.journal.
 TenantJournal`) and :meth:`DispatchService.recover` rebuilds every

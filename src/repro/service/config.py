@@ -12,10 +12,19 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.api.options import SolveOptions, reject_unknown_keys
+from repro.api.options import SolveOptions, check_field_types, reject_unknown_keys
 from repro.errors import ConfigurationError
 
 __all__ = ["ServiceConfig"]
+
+#: ``(fields, kind, None allowed)`` for every numeric knob, checked
+#: before the range checks (see :func:`~repro.api.options.check_field_types`).
+_FIELD_TYPES = (
+    (("max_sessions", "queue_limit", "cache_entries"), "int", False),
+    (("journal_fsync_every", "journal_checkpoint_every"), "int", False),
+    (("cache_bytes",), "int", True),
+    (("backpressure_ratio", "tenant_budget"), "real", True),
+)
 
 
 @dataclass(frozen=True)
@@ -51,12 +60,8 @@ class ServiceConfig:
     cache_entries, cache_bytes:
         Bounds of the process-wide shared flush-fingerprint cache
         (:class:`~repro.stream.cache.FlushSolverCache`): entry count and
-        estimated resident bytes (``None`` = no byte bound).
-    snapshot_path:
-        Where the shared cache persists across restarts: loaded at
-        service construction when the file exists, written on
-        :meth:`~repro.service.DispatchService.close`.  ``None`` disables
-        persistence.
+        estimated resident bytes (``None`` = no byte bound).  The cache
+        lives in memory only.
     journal_dir:
         Directory of per-tenant crash-safe journals
         (:class:`~repro.service.journal.TenantJournal`): every accepted
@@ -84,13 +89,13 @@ class ServiceConfig:
     tenant_budget: float | None = None
     cache_entries: int = 1024
     cache_bytes: int | None = 256 * 2**20
-    snapshot_path: str | None = None
     journal_dir: str | None = None
     journal_fsync_every: int = 1
     journal_checkpoint_every: int = 256
     default_options: SolveOptions = SolveOptions()
 
     def __post_init__(self) -> None:
+        check_field_types(self, _FIELD_TYPES)
         if self.max_sessions < 1:
             raise ConfigurationError(
                 f"max_sessions must be >= 1, got {self.max_sessions}"

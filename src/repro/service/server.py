@@ -11,8 +11,8 @@ freely at the queue boundary.
 What the service adds on top of the sessions it hosts:
 
 * a **process-wide shared flush cache**
-  (:class:`~repro.stream.cache.FlushSolverCache`): LRU + byte-bounded,
-  snapshot-persisted across restarts via ``ServiceConfig.snapshot_path``;
+  (:class:`~repro.stream.cache.FlushSolverCache`): in memory, LRU +
+  byte-bounded;
 * **admission control**: ``SubmitTask`` requests are shed (a
   :class:`~repro.api.wire.ShedReply`, never an exception) when the
   tenant's queue is full, its privacy budget is exhausted, or its
@@ -42,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.api.options import SolveOptions
@@ -102,8 +101,7 @@ class DispatchService:
     Use :meth:`open_session` / :meth:`submit` from coroutines on one
     event loop (the in-process :class:`~repro.service.ServiceClient`
     wraps them per tenant), and :meth:`close` to wind the service down —
-    remaining consumers stop, and the shared cache snapshots to
-    ``config.snapshot_path`` if set.
+    remaining consumers stop.
     """
 
     def __init__(
@@ -115,21 +113,14 @@ class DispatchService:
     ):
         self.config = config if config is not None else ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if cache is not None:
-            self.cache = cache
-        else:
-            snapshot = self.config.snapshot_path
-            if snapshot is not None and Path(snapshot).is_file():
-                self.cache = FlushSolverCache.load(
-                    snapshot,
-                    max_entries=self.config.cache_entries,
-                    max_bytes=self.config.cache_bytes,
-                )
-            else:
-                self.cache = FlushSolverCache(
-                    max_entries=self.config.cache_entries,
-                    max_bytes=self.config.cache_bytes,
-                )
+        self.cache = (
+            cache
+            if cache is not None
+            else FlushSolverCache(
+                max_entries=self.config.cache_entries,
+                max_bytes=self.config.cache_bytes,
+            )
+        )
         self._tenants: dict[str, _Tenant] = {}
         self._closed = False
 
@@ -295,7 +286,7 @@ class DispatchService:
         return await future
 
     async def close(self) -> None:
-        """Stop every consumer and snapshot the shared cache."""
+        """Stop every consumer, close open sessions, checkpoint journals."""
         self._closed = True
         for state in list(self._tenants.values()):
             if state.consumer is not None and not state.consumer.done():
@@ -313,8 +304,6 @@ class DispatchService:
                     # next incarnation can recover() the session.
                     state.journal.checkpoint()
                     state.journal.close()
-        if self.config.snapshot_path is not None:
-            self.cache.save(self.config.snapshot_path)
 
     # -- crash recovery ----------------------------------------------------
 

@@ -104,35 +104,6 @@ class PairArrays:
         length = int(self.budget_len[pair_index])
         return BudgetVector(tuple(self.budget_matrix[pair_index, :length].tolist()))
 
-    # -- content hashing ------------------------------------------------
-
-    def update_digest(self, digest, include_budgets: bool) -> None:
-        """Feed the arrays' raw content into a hashlib-style ``digest``.
-
-        The streaming flush-fingerprint cache keys solved flushes on this
-        content (:mod:`repro.stream.cache`).  ``include_budgets`` controls
-        whether the budget columns take part: non-private conflict
-        elimination never reads them, so leaving them out lets flushes
-        whose freshly *sampled* budgets differ still hit the cache.  One
-        shape header up front removes concatenation ambiguity (every
-        array's length is a function of ``(n, m, P, Z)`` and the fixed
-        feed order), without paying a per-array ``repr`` on the hot path.
-        """
-        digest.update(
-            b"%d:%d:%d:%d" % (
-                self.offsets.shape[0],
-                self.task_value.shape[0],
-                self.task.shape[0],
-                self.budget_matrix.shape[1],
-            )
-        )
-        for array in (self.offsets, self.task, self.worker, self.distance,
-                      self.task_value):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        if include_budgets:
-            digest.update(np.ascontiguousarray(self.budget_matrix).tobytes())
-            digest.update(np.ascontiguousarray(self.budget_len).tobytes())
-
     # -- slicing --------------------------------------------------------
 
     def subset(

@@ -42,7 +42,7 @@ from repro.stream.events import (
     WorkerDeparture,
     merge_events,
 )
-from repro.stream.cache import FlushSolverCache, cache_profile, flush_fingerprint
+from repro.stream.cache import FlushSolverCache, cache_profile
 from repro.stream.metrics import FlushRecord, StreamStats
 from repro.stream.runner import StreamReport, StreamRunner
 from repro.stream.shards import (
@@ -83,7 +83,6 @@ __all__ = [
     "solve_flush",
     "FlushSolverCache",
     "cache_profile",
-    "flush_fingerprint",
     "StreamConfig",
     "DispatchSimulator",
     "StreamRunner",

@@ -4,33 +4,35 @@ Dynamic workloads re-solve many *small, highly similar* instances: a
 duty-cycle fleet serves the same neighbourhoods every few minutes, losers
 of one micro-flush re-flush unchanged until a worker frees up, and
 repeated experiment runs replay identical (instance, noise) pairs.  This
-module caches :class:`~repro.core.result.AssignmentResult`s keyed by a
-**flush fingerprint** — a content hash of everything the solve reads — so
-a recurring flush returns its result without running the engine at all.
+module caches :class:`~repro.core.result.AssignmentResult`s in one
+in-memory LRU keyed by a **flush fingerprint** — a content hash of a
+flush's *inputs*, taken before any instance is built — so a recurring
+flush returns its result without building an instance or running the
+engine at all.
 
 What goes into the fingerprint (and why):
 
-* the **pair arrays** (CSR offsets / tasks / workers / distances / task
-  values) plus the **public ids** of the flush's tasks and workers — the
-  matching, ledger and release board are keyed by public ids, so two
-  flushes may only share a result when the ids line up too;
-* the **utility model** (``repr``) and a **method key** (solver class,
-  reported name, round caps, shard-cut configuration);
+* the flush's **task records** (public id, location, value) and
+  **worker records** (public id, location, radius) — the pair arrays are
+  a deterministic function of them, and the matching, ledger and release
+  board are keyed by public ids, so two flushes may only share a result
+  when the ids line up too;
+* the **utility model** and **budget sampler** (``repr``) and a
+  **method key** (solver class, reported name, round caps);
 * for solvers that consume randomness or read budget state — every
   *private* method, and any solver this module cannot prove pure — the
-  **budget columns**, the **noise-seed key** of the flush, and the
-  **per-worker remaining shift budgets** from the
+  **build key** (the budget-sampling seed), the **noise-seed key** of the
+  flush, and the **per-worker remaining shift budgets** from the
   :class:`~repro.stream.batcher.WorkerBudgetTracker`.
 
 The last item is the subtle one: budget *carry* makes naively-keyed
 caching wrong.  The micro-batcher truncates each flush's budget vectors
 against the workers' remaining shift budgets, and the cap invariant is
 re-audited against the tracker when the (possibly cached) ledger is
-charged — so two flushes that happen to share pair arrays but differ in
+charged — so two flushes that happen to share every record but differ in
 remaining budgets must never alias.  Hashing the remainders makes the
 cache transparent *by construction*: the fingerprint captures the full
-budget state a private flush can observe, not just the arrays it
-happened to produce.
+budget state a private flush can observe.
 
 Non-private conflict elimination (UCE/DCE), GRD, GT and OPT are pure
 functions of the distance geometry: they never read the budget columns
@@ -49,13 +51,10 @@ what the skipped solve would have produced.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,7 +64,6 @@ from repro.core.optimal import OptimalSolver
 from repro.core.pgt import _BestResponseSolver
 from repro.core.result import AssignmentResult
 from repro.errors import ConfigurationError
-from repro.simulation.instance import ProblemInstance
 
 if TYPE_CHECKING:  # runtime import is deferred to break the package cycle
     from repro.core.registry import Solver
@@ -74,7 +72,6 @@ __all__ = [
     "FlushCacheProfile",
     "FlushSolverCache",
     "cache_profile",
-    "flush_fingerprint",
     "flush_inputs_fingerprint",
 ]
 
@@ -84,23 +81,19 @@ class FlushCacheProfile:
     """What a solver's fingerprint must capture to be replay-safe.
 
     ``method_key`` names the configured solver (class, reported name,
-    caps, shard-cut config).  ``content_sensitive`` says whether the
-    solver can observe budget columns, noise draws, or tracker state —
-    true for every private method and for any solver class this module
-    does not recognise as pure (unknown solvers are assumed to read
-    everything; conservatism costs hits, never correctness).
+    caps).  ``content_sensitive`` says whether the solver can observe
+    budget columns, noise draws, or tracker state — true for every
+    private method and for any solver class this module does not
+    recognise as pure (unknown solvers are assumed to read everything;
+    conservatism costs hits, never correctness).
     """
 
     method_key: str
     content_sensitive: bool
 
 
-def cache_profile(solver: "Solver", shard_key: str = "") -> FlushCacheProfile:
-    """Build the cache profile of one configured solver.
-
-    ``shard_key`` distinguishes shard-cut configurations (the cut shapes
-    private noise streams and the merged audit-trail order).
-    """
+def cache_profile(solver: "Solver") -> FlushCacheProfile:
+    """Build the cache profile of one configured solver."""
     parts = [type(solver).__name__, str(solver.name)]
     max_rounds = getattr(solver, "max_rounds", None)
     if max_rounds is not None:
@@ -108,8 +101,6 @@ def cache_profile(solver: "Solver", shard_key: str = "") -> FlushCacheProfile:
     max_passes = getattr(solver, "max_passes", None)
     if max_passes is not None:
         parts.append(f"max_passes={max_passes}")
-    if shard_key:
-        parts.append(shard_key)
     pure = isinstance(
         solver, (GreedySolver, OptimalSolver)
     ) or (
@@ -120,43 +111,6 @@ def cache_profile(solver: "Solver", shard_key: str = "") -> FlushCacheProfile:
         method_key="|".join(parts),
         content_sensitive=not pure,
     )
-
-
-def flush_fingerprint(
-    instance: ProblemInstance,
-    profile: FlushCacheProfile,
-    noise_key: tuple[int, ...] | None = None,
-    remaining_budgets: tuple[float, ...] | None = None,
-) -> str:
-    """The content hash one flush solve is a pure function of.
-
-    ``noise_key`` and ``remaining_budgets`` are hashed only for
-    content-sensitive profiles (see module docstring); passing them for a
-    pure profile is harmless and ignored.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    digest.update(profile.method_key.encode())
-    digest.update(_model_key(instance.model))
-    instance.pairs.update_digest(digest, include_budgets=profile.content_sensitive)
-    tasks = instance.tasks
-    workers = instance.workers
-    digest.update(
-        np.fromiter((t.id for t in tasks), dtype=np.int64, count=len(tasks)).tobytes()
-    )
-    digest.update(
-        np.fromiter(
-            (w.id for w in workers), dtype=np.int64, count=len(workers)
-        ).tobytes()
-    )
-    if profile.content_sensitive:
-        digest.update(repr(noise_key).encode())
-        digest.update(
-            np.asarray(
-                remaining_budgets if remaining_budgets is not None else (),
-                dtype=np.float64,
-            ).tobytes()
-        )
-    return digest.hexdigest()
 
 
 #: Small identity-keyed memo for stable ``repr`` keys (model, budget
@@ -178,10 +132,6 @@ def _repr_key(obj) -> bytes:
     return encoded
 
 
-def _model_key(model) -> bytes:
-    return _repr_key(model)
-
-
 def flush_inputs_fingerprint(
     tasks,
     workers,
@@ -194,16 +144,14 @@ def flush_inputs_fingerprint(
 ) -> str:
     """The content hash of one flush's *inputs*, taken before any build.
 
-    :func:`flush_fingerprint` hashes the built pair arrays; this variant
-    hashes what the arrays are a deterministic function of — the task
-    records (id, location, value), worker records (id, location,
-    radius), model, and budget sampler — so a cache hit can skip
-    **instance construction** as well as the solve (the zero-rebuild
-    flush path).  For content-sensitive profiles the ``build_key`` (the
-    budget-sampling seed tuple), ``noise_key`` and per-worker remaining
-    budgets join the digest: they pin the sampled budget columns, the
-    truncation state and the noise stream, so a hit implies a
-    bit-identical instance *and* solve.  Pure profiles omit all three —
+    Hashes what the pair arrays are a deterministic function of — the
+    task records (id, location, value), worker records (id, location,
+    radius), model, and budget sampler — so a cache hit skips **instance
+    construction** as well as the solve.  For content-sensitive profiles
+    the ``build_key`` (the budget-sampling seed tuple), ``noise_key`` and
+    per-worker remaining budgets join the digest: they pin the sampled
+    budget columns, the truncation state and the noise stream, so a hit
+    implies a bit-identical instance *and* solve.  Pure profiles omit all three —
     their solves never observe budgets or noise, which is what makes
     recurring flushes hit even though every flush samples fresh budgets.
     """
@@ -300,11 +248,8 @@ class FlushSolverCache:
     cache backs thousands of tenant sessions.  ``evictions`` counts
     entries dropped by either bound.
 
-    Snapshots (:meth:`save` / :meth:`load`) persist the cache as JSON
-    across restarts: entries are encoded through
-    :mod:`repro.stream.persist` (bit-identical round-trip), written
-    oldest-first so reloading preserves LRU order.  Entries that cannot
-    be encoded (exotic value functions) are skipped, never fatal.
+    The cache lives in memory only: results hold workers' true locations
+    and distances, and no entry leaves the process.
     """
 
     def __init__(self, max_entries: int = 256, max_bytes: int | None = None):
@@ -339,19 +284,15 @@ class FlushSolverCache:
         """Estimated resident size of all entries."""
         return self._total_bytes
 
-    def lookup(
-        self, fingerprint: str, instance: ProblemInstance | None = None
-    ) -> tuple[AssignmentResult, int] | None:
+    def lookup(self, fingerprint: str) -> tuple[AssignmentResult, int] | None:
         """The stored ``(result, shards)`` for a fingerprint.
 
         A hit returns the cached result with the wall-clock field zeroed
         (elapsed time measures the host, not the protocol, and a cache
-        hit genuinely did no solver work).  The zero-rebuild flush path
-        looks up *before* any instance exists and consumes the cached
-        result as-is — fingerprint-equal flushes agree on everything a
-        result exposes (ids, distances, values, ledger).  Callers that
-        did build a fresh instance may pass it to have the result
-        re-attached.
+        hit genuinely did no solver work).  The simulator looks up
+        *before* any instance exists and consumes the cached result
+        as-is — fingerprint-equal flushes agree on everything a result
+        exposes (ids, distances, values, ledger).
         """
         with self._lock:
             entry = self._entries.get(fingerprint)
@@ -360,12 +301,7 @@ class FlushSolverCache:
                 return None
             self.hits += 1
             self._entries.move_to_end(fingerprint)
-        result = entry.result
-        if instance is not None:
-            result = replace(result, instance=instance, elapsed_seconds=0.0)
-        else:
-            result = replace(result, elapsed_seconds=0.0)
-        return result, entry.shards
+        return replace(entry.result, elapsed_seconds=0.0), entry.shards
 
     def store(self, fingerprint: str, result: AssignmentResult, shards: int) -> None:
         """Remember one solved flush (evicting LRU entries past a bound)."""
@@ -396,129 +332,3 @@ class FlushSolverCache:
             _, evicted = self._entries.popitem(last=False)
             self._total_bytes -= evicted.nbytes
             self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
-            self._total_bytes = 0
-
-    # -- snapshot persistence ------------------------------------------
-
-    def to_snapshot(self) -> dict[str, Any]:
-        """The cache as a JSON-ready dict (entries oldest-first).
-
-        Entries without a JSON codec (see
-        :class:`~repro.stream.persist.SnapshotError`) are skipped and
-        counted in the snapshot's ``skipped`` field.
-        """
-        from repro.stream.persist import SNAPSHOT_VERSION, SnapshotError, encode_result
-
-        with self._lock:
-            items = list(self._entries.items())
-        entries = []
-        skipped = 0
-        for fingerprint, entry in items:
-            try:
-                payload = encode_result(entry.result)
-            except SnapshotError:
-                skipped += 1
-                continue
-            entries.append(
-                {"fingerprint": fingerprint, "shards": entry.shards, "result": payload}
-            )
-        return {
-            "v": SNAPSHOT_VERSION,
-            "max_entries": self.max_entries,
-            "max_bytes": self.max_bytes,
-            "skipped": skipped,
-            "entries": entries,
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        snapshot: Mapping[str, Any],
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-    ) -> "FlushSolverCache":
-        """Rebuild a cache from :meth:`to_snapshot` output.
-
-        ``max_entries`` / ``max_bytes`` override the snapshot's bounds
-        (the restarted service may be sized differently); entries are
-        restored oldest-first, so LRU order — and which entries a
-        tighter bound evicts — matches a cache that was never down.
-        """
-        from repro.stream.persist import SNAPSHOT_VERSION, decode_result
-
-        version = snapshot.get("v")
-        if version != SNAPSHOT_VERSION:
-            raise ConfigurationError(
-                f"unsupported cache snapshot version {version!r} "
-                f"(this build speaks v{SNAPSHOT_VERSION})"
-            )
-        cache = cls(
-            max_entries=max_entries
-            if max_entries is not None
-            else snapshot.get("max_entries", 256),
-            max_bytes=max_bytes
-            if max_bytes is not None
-            else snapshot.get("max_bytes"),
-        )
-        for item in snapshot.get("entries", ()):
-            cache.store(
-                item["fingerprint"], decode_result(item["result"]), item["shards"]
-            )
-        return cache
-
-    def save(self, path: "str | Path") -> int:
-        """Write the snapshot JSON to ``path``; returns entries written."""
-        snapshot = self.to_snapshot()
-        Path(path).write_text(json.dumps(snapshot))
-        return len(snapshot["entries"])
-
-    @classmethod
-    def load(
-        cls,
-        path: "str | Path",
-        max_entries: int | None = None,
-        max_bytes: int | None = None,
-        strict: bool = False,
-    ) -> "FlushSolverCache":
-        """Read a snapshot written by :meth:`save`.
-
-        The snapshot is a *cache*: a truncated, bit-flipped or otherwise
-        corrupt file (a crash mid-``save``, a stale format) must never
-        keep the service from constructing.  Any decode failure —
-        invalid JSON, a bad version, malformed entries — is demoted to a
-        :class:`UserWarning` and an **empty** cache with the requested
-        bounds, unless ``strict=True`` (tests, debugging) restores the
-        historical raise.
-        """
-        from repro.faults import active_fault_plan
-
-        try:
-            plan = active_fault_plan()
-            if plan is not None:
-                plan.fire("snapshot_corrupt", site="cache.load")
-            return cls.from_snapshot(
-                json.loads(Path(path).read_text()),
-                max_entries=max_entries,
-                max_bytes=max_bytes,
-            )
-        except FileNotFoundError:
-            raise
-        except Exception as exc:
-            if strict:
-                raise
-            warnings.warn(
-                f"cache snapshot {path} is unusable ({type(exc).__name__}: "
-                f"{exc}); starting cold",
-                stacklevel=2,
-            )
-            bounds: dict[str, Any] = {}
-            if max_entries is not None:
-                bounds["max_entries"] = max_entries
-            if max_bytes is not None:
-                bounds["max_bytes"] = max_bytes
-            return cls(**bounds)

@@ -61,7 +61,7 @@ from repro.stream.events import (
     WorkerDeparture,
 )
 from repro.stream.metrics import FlushRecord, StreamStats
-from repro.stream.shards import MIN_SHARD_PAIRS, ShardSeedSchedule, solve_flush
+from repro.stream.shards import ShardSeedSchedule, solve_flush
 from repro.utils.rng import stable_hash
 
 if TYPE_CHECKING:  # runtime import is deferred to break the package cycle
@@ -243,13 +243,8 @@ class DispatchSimulator:
             if cache is not None
             else (FlushSolverCache() if self.config.cache else None)
         )
-        # The cut config is part of the cache key: the cut's coalescing
-        # floor shapes every per-unit noise stream, so two streams
-        # differing only in it must never alias.
         self._cache_profile = (
-            cache_profile(solver, shard_key=f"cut(min_pairs={MIN_SHARD_PAIRS})")
-            if self._cache is not None
-            else None
+            cache_profile(solver) if self._cache is not None else None
         )
         # A content-sensitive fingerprint contains this stream's strictly
         # increasing flush index (via the noise/build keys), so inside one

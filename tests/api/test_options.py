@@ -69,6 +69,8 @@ class TestValidation:
             {"target_flush_seconds": "fast"},
             {"window_seconds": "5"},
             {"window_seconds": 5.0, "window_budget": False},
+            # numpy would refuse it only at the first flush's draw.
+            {"seed": -1},
         ],
     )
     def test_invalid_knobs_raise_typed_errors(self, bad):

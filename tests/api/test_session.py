@@ -198,6 +198,11 @@ class TestSessionConfig:
         with pytest.raises(ConfigurationError, match="default_deadline"):
             SessionConfig(default_deadline=-1.0)
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed"):
+            SessionConfig(seed=seed)
+
     def test_from_mapping_round_trip(self):
         config = SessionConfig(
             options=SolveOptions(seed=3, max_wait=0.1),

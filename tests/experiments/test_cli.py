@@ -1,5 +1,9 @@
 """Unit tests for the ``python -m repro.experiments`` command line."""
 
+import io
+import json
+import sys
+
 import pytest
 
 from repro.experiments.__main__ import main
@@ -113,8 +117,6 @@ class TestObsCLI:
         assert row.rstrip().endswith("-")
 
     def test_trace_out_writes_jsonl_spans(self, tmp_path, capsys):
-        import json
-
         path = tmp_path / "trace.jsonl"
         assert main([*STREAM_ARGS, "--trace-out", str(path)]) == 0
         out = capsys.readouterr().out
@@ -155,8 +157,6 @@ class TestObsCLI:
         spec = tmp_path / "spec.json"
         assert main([*STREAM_ARGS, "--trace", "--save-spec", str(spec)]) == 0
         capsys.readouterr()
-        import json
-
         assert json.loads(spec.read_text())["options"]["trace"] is True
 
 
@@ -167,3 +167,71 @@ class TestRetiredFlags:
             main([*STREAM_ARGS, flag, "2"])
         assert exit_.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def envelope(tenant, record):
+    from repro.api.wire import encode_record
+
+    return json.dumps({"tenant": tenant, "request": encode_record(record)})
+
+
+def serve(monkeypatch, lines, *flags):
+    """Run ``serve`` with ``lines`` on stdin; returns the exit code."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{line}\n" for line in lines)))
+    return main(["serve", *flags])
+
+
+class TestServeCLI:
+    def open_and_load(self, tenant):
+        from repro.api.wire import Advance, OpenSession, SubmitTask, SubmitWorker
+
+        return [
+            envelope(tenant, OpenSession(method="UCE")),
+            envelope(tenant, SubmitWorker(worker_id=1, x=0.0, y=0.0, radius=5.0)),
+            envelope(tenant, SubmitTask(task_id=1, x=0.1, y=0.0, value=1.0, at=0.1)),
+            envelope(tenant, Advance(to_time=0.5)),
+        ]
+
+    def test_one_reply_per_line_in_order(self, monkeypatch, capsys):
+        from repro.api.wire import Finish
+
+        lines = [
+            *self.open_and_load("a"),
+            "not json at all",
+            envelope("a", Finish()),
+        ]
+        assert serve(monkeypatch, lines) == 0
+        captured = capsys.readouterr()
+        replies = [json.loads(line) for line in captured.out.splitlines()]
+        kinds = [reply["reply"]["kind"] for reply in replies]
+        # The malformed line gets its error and the loop serves on.
+        assert kinds == ["ack", "ack", "ack", "ack", "error", "finished"]
+        assert replies[-1]["tenant"] == "a"
+        assert replies[-1]["reply"]["assigned"] == 1
+        assert "serve: 5 requests handled" in captured.err
+
+    def test_metrics_out_writes_prometheus_text(self, tmp_path, monkeypatch, capsys):
+        metrics = tmp_path / "service.prom"
+        assert serve(monkeypatch, self.open_and_load("a"), "--metrics-out", str(metrics)) == 0
+        capsys.readouterr()
+        assert "service_sessions_opened_total" in metrics.read_text()
+
+    def test_journal_dir_recovers_unfinished_tenants(self, tmp_path, monkeypatch, capsys):
+        from repro.api.wire import Finish
+
+        journals = str(tmp_path / "journals")
+        assert serve(monkeypatch, self.open_and_load("a"), "--journal-dir", journals) == 0
+        assert "recovered" not in capsys.readouterr().err
+        # The second run picks tenant "a" up where the first left it.
+        assert serve(monkeypatch, [envelope("a", Finish())], "--journal-dir", journals) == 0
+        captured = capsys.readouterr()
+        assert "recovered 1 tenant session(s)" in captured.err
+        (reply,) = [json.loads(line) for line in captured.out.splitlines()]
+        assert reply["reply"]["kind"] == "finished"
+        assert reply["reply"]["arrived_tasks"] == 1
+
+    def test_retired_snapshot_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            serve(monkeypatch, [], "--snapshot", str(tmp_path / "cache.json"))
+        assert exit_.value.code == 2
+        assert "--snapshot" in capsys.readouterr().err

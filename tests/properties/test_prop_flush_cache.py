@@ -6,22 +6,23 @@ Two guarantees pin it:
   solver cache enabled is bit-identical (stats, flush records, privacy
   timeline, per-worker ledgers) to the same run without it, for private
   and non-private methods alike, under hypothesis-chosen workloads.
-* **Budget carry is part of the key.**  Two flushes that share pair
-  arrays but differ only in the workers' *remaining* shift budgets must
-  be a cache miss (the regression the naive content-hash would get
-  wrong).
+* **Budget carry is part of the key.**  Two flushes that share every
+  task and worker record but differ only in the workers' *remaining*
+  shift budgets must be a cache miss (the regression the naive
+  content-hash would get wrong).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.options import SolveOptions
+from repro.core.budgets import BudgetSampler
+from repro.core.utility import UtilityModel
 from repro.datasets.synthetic import NormalGenerator
 from repro.stream.arrivals import PoissonProcess, StreamWorkload
 from repro.stream.cache import (
     FlushSolverCache,
     cache_profile,
-    flush_fingerprint,
     flush_inputs_fingerprint,
 )
 from repro.stream.runner import StreamRunner
@@ -146,25 +147,29 @@ class TestCacheOnOffEquivalence:
         assert_streams_identical(stats[1], stats[0])
 
 
+def inputs_fingerprint(instance, profile, **keys):
+    """The simulator's pre-build key for a flush of ``instance``'s records."""
+    return flush_inputs_fingerprint(
+        instance.tasks, instance.workers, UtilityModel(), BudgetSampler(), profile, **keys
+    )
+
+
 class TestBudgetCarryFingerprint:
     def test_same_arrays_different_remaining_budgets_must_miss(self):
-        """The regression the issue pins: budget carry keys the cache."""
+        """The regression this suite pins: budget carry keys the cache."""
         instance = generated_instance(9, 8, 12)
         from repro.core.puce import PUCESolver
 
         profile = cache_profile(PUCESolver())
-        noise_key = (0, 1, 2)
-        base = flush_fingerprint(
-            instance, profile, noise_key=noise_key,
-            remaining_budgets=(10.0, 10.0, 4.0),
+        keys = dict(build_key=(0, 1, 0x5EED), noise_key=(0, 1, 2))
+        base = inputs_fingerprint(
+            instance, profile, remaining_budgets=(10.0, 10.0, 4.0), **keys
         )
-        same = flush_fingerprint(
-            instance, profile, noise_key=noise_key,
-            remaining_budgets=(10.0, 10.0, 4.0),
+        same = inputs_fingerprint(
+            instance, profile, remaining_budgets=(10.0, 10.0, 4.0), **keys
         )
-        drained = flush_fingerprint(
-            instance, profile, noise_key=noise_key,
-            remaining_budgets=(10.0, 10.0, 3.5),
+        drained = inputs_fingerprint(
+            instance, profile, remaining_budgets=(10.0, 10.0, 3.5), **keys
         )
         assert base == same
         assert base != drained
@@ -173,9 +178,7 @@ class TestBudgetCarryFingerprint:
         """Same regression at the pre-build (zero-rebuild) layer: the
         simulator fingerprints flush inputs before any instance exists,
         and budget carry must still force a miss."""
-        from repro.core.budgets import BudgetSampler
         from repro.core.puce import PUCESolver
-        from repro.core.utility import UtilityModel
 
         instance = generated_instance(9, 8, 12)
         profile = cache_profile(PUCESolver())
@@ -196,8 +199,16 @@ class TestBudgetCarryFingerprint:
             instance.tasks, instance.workers, model, sampler, profile,
             remaining_budgets=(10.0,) * 11 + (9.5,), **common,
         )
+        # The build key seeds the sampled budget columns a private
+        # flush reads, so it keys private fingerprints too.
+        resampled = flush_inputs_fingerprint(
+            instance.tasks, instance.workers, model, sampler, profile,
+            remaining_budgets=(10.0,) * 12,
+            build_key=(0, 2, 0x5EED), noise_key=(0, 1, 2),
+        )
         assert base == same
         assert base != drained
+        assert base != resampled
         # Pure profiles ignore budgets, seeds and noise entirely.
         pure = cache_profile(
             __import__("repro.core.nonprivate", fromlist=["UCESolver"]).UCESolver()
@@ -219,11 +230,13 @@ class TestBudgetCarryFingerprint:
 
         profile = cache_profile(PUCESolver())
         budgets = (10.0,) * instance.num_workers
-        a = flush_fingerprint(
-            instance, profile, noise_key=(0, 1, 2), remaining_budgets=budgets
+        a = inputs_fingerprint(
+            instance, profile, build_key=(0, 1, 0x5EED), noise_key=(0, 1, 2),
+            remaining_budgets=budgets,
         )
-        b = flush_fingerprint(
-            instance, profile, noise_key=(0, 2, 2), remaining_budgets=budgets
+        b = inputs_fingerprint(
+            instance, profile, build_key=(0, 1, 0x5EED), noise_key=(0, 2, 2),
+            remaining_budgets=budgets,
         )
         assert a != b
 
@@ -233,8 +246,8 @@ class TestBudgetCarryFingerprint:
         instance = generated_instance(9, 8, 12)
         profile = cache_profile(UCESolver())
         assert not profile.content_sensitive
-        a = flush_fingerprint(instance, profile, noise_key=(0, 1, 2))
-        b = flush_fingerprint(
+        a = inputs_fingerprint(instance, profile, noise_key=(0, 1, 2))
+        b = inputs_fingerprint(
             instance, profile, noise_key=(9, 9, 9), remaining_budgets=(1.0,)
         )
         assert a == b

@@ -56,12 +56,22 @@ class TestServiceConfig:
             {"tenant_budget": -1.0},
             {"cache_entries": 0},
             {"cache_bytes": 0},
+            # Mistyped JSON values: numeric strings, non-int counts, and
+            # bools posing as numbers.
+            pytest.param({"queue_limit": "8"}, id="queue_limit-str"),
+            pytest.param({"tenant_budget": "25"}, id="tenant_budget-str"),
+            pytest.param({"backpressure_ratio": "4"}, id="backpressure_ratio-str"),
+            pytest.param({"queue_limit": 2.5}, id="queue_limit-float"),
+            pytest.param({"cache_entries": 1.5}, id="cache_entries-float"),
+            pytest.param({"max_sessions": True}, id="max_sessions-bool"),
         ],
         ids=lambda d: next(iter(d)),
     )
     def test_bad_knobs_rejected(self, bad):
         with pytest.raises(ConfigurationError, match=next(iter(bad))):
             ServiceConfig(**bad)
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            ServiceConfig.from_mapping(bad)
 
     def test_mapping_round_trip(self):
         config = ServiceConfig(queue_limit=8, tenant_budget=5.0)
@@ -70,6 +80,11 @@ class TestServiceConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="typo"):
             ServiceConfig.from_mapping({"typo": 3})
+
+    def test_retired_snapshot_path_is_an_unknown_key(self):
+        # The shared cache lives in memory only; no inert key is kept.
+        with pytest.raises(ConfigurationError, match="snapshot_path"):
+            ServiceConfig.from_mapping({"snapshot_path": "cache.json"})
 
 
 class TestSessionLifecycle:
@@ -132,6 +147,28 @@ class TestSessionLifecycle:
             reply = await client.open("UCE", options={"typo": 1})
             assert isinstance(reply, ErrorReply)
             assert reply.code == "ConfigurationError"
+            await service.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"seed": -1},
+            {"faults": {"seed": -3, "rates": {"worker_departure": 0.5}}},
+        ],
+        ids=["seed", "fault-seed"],
+    )
+    def test_negative_seeds_are_refused_at_open(self, options):
+        # Acked at open, a negative seed used to fail every later flush
+        # and lose the tasks that flush had already taken.
+        async def scenario():
+            service = DispatchService()
+            client = ServiceClient(service, "a", raise_errors=False)
+            reply = await client.open("UCE", options=options)
+            assert isinstance(reply, ErrorReply)
+            assert reply.code == "ConfigurationError"
+            assert "seed" in reply.message
             await service.close()
 
         run(scenario())
@@ -323,31 +360,6 @@ class TestMetricsAndCache:
             await service.close()
 
         run(scenario())
-
-    def test_cache_snapshot_survives_restart(self, tmp_path):
-        snapshot = tmp_path / "service_cache.json"
-
-        async def generation(expect_hits):
-            service = DispatchService(
-                ServiceConfig(snapshot_path=str(snapshot))
-            )
-            client = ServiceClient(service, "a")
-            await client.open("UCE", options={"cache": True})
-            await client.submit_worker(worker())
-            await client.submit_task(task())
-            await client.advance(1.0)
-            final = await client.finish()
-            hits = final.cache_hit_rate
-            await service.close()
-            return hits
-
-        cold = run(generation(False))
-        assert snapshot.is_file()
-        warm = run(generation(True))
-        assert cold == 0.0
-        assert warm == 1.0  # restart replayed the snapshot, flush hit
-
-        run(generation(True))
 
 
 class TestServeJsonl:

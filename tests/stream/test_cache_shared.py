@@ -1,19 +1,12 @@
-"""The shared cache under service duty: bounds, threads, snapshots."""
+"""The shared cache under service duty: bounds and threads."""
 
-import json
 import threading
 
 import pytest
 
-from repro.core.nonprivate import GreedySolver, UCESolver
+from repro.core.nonprivate import UCESolver
 from repro.errors import ConfigurationError
 from repro.stream.cache import FlushSolverCache
-from repro.stream.persist import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    decode_result,
-    encode_result,
-)
 from tests.conftest import line_instance
 
 
@@ -22,13 +15,6 @@ def solved(seed=0, num_tasks=2, num_workers=3):
         num_tasks=num_tasks, num_workers=num_workers, seed=seed
     )
     return instance, UCESolver().solve(instance, seed=seed)
-
-
-def _board(result):
-    """release_board keyed to comparable tuples (ReleaseSet has no __eq__)."""
-    return {
-        key: releases.releases for key, releases in result.release_board.items()
-    }
 
 
 class TestEvictionBounds:
@@ -57,15 +43,15 @@ class TestEvictionBounds:
 
     def test_total_bytes_tracks_entries(self):
         _, result = solved()
-        cache = FlushSolverCache()
+        cache = FlushSolverCache(max_entries=2)
         assert cache.total_bytes == 0
         cache.store("a", result, 1)
         one = cache.total_bytes
         assert one > 0
         cache.store("b", result, 1)
         assert cache.total_bytes == 2 * one
-        cache.clear()
-        assert cache.total_bytes == 0
+        cache.store("c", result, 1)  # evicts "a" and its bytes
+        assert cache.total_bytes == 2 * one
 
     def test_restore_does_not_double_count(self):
         _, result = solved()
@@ -85,7 +71,7 @@ class TestThreadSafety:
         """Many sessions hammering one cache: no lost updates, no tears.
 
         The dict invariants (len <= bound, bytes consistent) must hold
-        after arbitrary interleavings of store/lookup/clear.
+        after arbitrary interleavings of store/lookup.
         """
         _, result = solved()
         cache = FlushSolverCache(max_entries=8)
@@ -147,113 +133,3 @@ class TestThreadSafety:
         assert runs[1].cache_hits == len(runs[1].flushes)
         assert runs[0].total_utility == runs[1].total_utility
         assert runs[0].latencies == runs[1].latencies
-
-
-class TestResultCodec:
-    def test_round_trip_is_bit_identical(self):
-        instance, result = solved(seed=4, num_tasks=3, num_workers=4)
-        payload = json.loads(json.dumps(encode_result(result)))
-        back = decode_result(payload)
-        assert back.instance == instance
-        assert back.matching.pairs == result.matching.pairs
-        assert list(back.ledger.events()) == list(result.ledger.events())
-        assert _board(back) == _board(result)
-        assert back.method == result.method
-        assert back.rounds == result.rounds
-        assert back.publishes == result.publishes
-
-    def test_private_result_round_trips_the_ledger(self):
-        from repro.core.puce import PUCESolver
-
-        instance = line_instance(num_tasks=3, num_workers=4, seed=7)
-        result = PUCESolver().solve(instance, seed=7)
-        payload = json.loads(json.dumps(encode_result(result)))
-        back = decode_result(payload)
-        assert list(back.ledger.events()) == list(result.ledger.events())
-        assert back.ledger.total_spend() == result.ledger.total_spend()
-        assert _board(back) == _board(result)
-
-    def test_wrong_version_is_refused(self):
-        _, result = solved()
-        payload = encode_result(result)
-        payload["v"] = SNAPSHOT_VERSION + 1
-        with pytest.raises(SnapshotError, match="version"):
-            decode_result(payload)
-
-
-class TestSnapshotPersistence:
-    def test_save_load_round_trip_preserves_lookups(self, tmp_path):
-        instance, result = solved(seed=1)
-        other_instance, other = solved(seed=2)
-        cache = FlushSolverCache(max_entries=16)
-        cache.store("one", result, 1)
-        cache.store("two", other, 3)
-        path = tmp_path / "cache.json"
-        assert cache.save(path) == 2
-        loaded = FlushSolverCache.load(path)
-        assert len(loaded) == 2
-        got, shards = loaded.lookup("two")
-        assert shards == 3
-        assert got.instance == other_instance
-        assert got.matching.pairs == other.matching.pairs
-        # LRU order survives: "one" is still the eviction candidate.
-        loaded.store("three", result, 1)
-        small = FlushSolverCache.from_snapshot(
-            cache.to_snapshot(), max_entries=1
-        )
-        assert len(small) == 1
-        assert small.lookup("two") is not None
-        assert small.lookup("one") is None
-
-    def test_snapshot_is_plain_json(self, tmp_path):
-        _, result = solved()
-        cache = FlushSolverCache()
-        cache.store("a", result, 1)
-        path = tmp_path / "snap.json"
-        cache.save(path)
-        payload = json.loads(path.read_text())
-        assert payload["v"] == SNAPSHOT_VERSION
-        assert payload["skipped"] == 0
-        assert [e["fingerprint"] for e in payload["entries"]] == ["a"]
-
-    def test_unencodable_entries_are_skipped_not_fatal(self):
-        import dataclasses
-
-        from repro.core.utility import UtilityModel
-
-        class WeirdValue:
-            def __call__(self, x):
-                return 1.0
-
-        instance, result = solved()
-        weird_instance = type(instance)(
-            tasks=instance.tasks,
-            workers=instance.workers,
-            model=UtilityModel(f_d=WeirdValue()),
-            reachable=instance.reachable,
-            pairs=instance.pairs,
-        )
-        weird = dataclasses.replace(result, instance=weird_instance)
-        cache = FlushSolverCache()
-        cache.store("fine", result, 1)
-        cache.store("weird", weird, 1)
-        snapshot = cache.to_snapshot()
-        assert snapshot["skipped"] == 1
-        assert [e["fingerprint"] for e in snapshot["entries"]] == ["fine"]
-
-    def test_greedy_results_round_trip_too(self, tmp_path):
-        instance = line_instance(num_tasks=3, num_workers=3, seed=5)
-        result = GreedySolver().solve(instance, seed=5)
-        cache = FlushSolverCache()
-        cache.store("g", result, 1)
-        path = tmp_path / "g.json"
-        cache.save(path)
-        loaded = FlushSolverCache.load(path)
-        got, _ = loaded.lookup("g")
-        assert got.matching.pairs == result.matching.pairs
-
-    def test_wrong_snapshot_version_is_refused(self):
-        with pytest.raises(ConfigurationError, match="version"):
-            FlushSolverCache.from_snapshot(
-                {"v": SNAPSHOT_VERSION + 1, "entries": []}
-            )

@@ -1,5 +1,4 @@
-"""Deterministic fault injection: plan semantics, worker churn, and
-corrupt-snapshot tolerance.
+"""Deterministic fault injection: plan semantics and worker churn.
 
 The load-bearing invariant throughout: every *masked* fault kind
 (``MASKED_FAULT_KINDS``) changes only latency, never results.
@@ -11,7 +10,7 @@ import pytest
 from repro.core.nonprivate import UCESolver
 from repro.datasets.synthetic import NormalGenerator
 from repro.datasets.workload import Task, Worker
-from repro.errors import ConfigurationError, InjectedFault
+from repro.errors import ConfigurationError
 from repro.faults import (
     FAULT_KINDS,
     MASKED_FAULT_KINDS,
@@ -24,10 +23,8 @@ from repro.faults import (
 )
 from repro.spatial.geometry import Point
 from repro.stream.arrivals import PoissonProcess, StreamWorkload
-from repro.stream.cache import FlushSolverCache
 from repro.stream.events import TaskArrival, WorkerArrival, WorkerDeparture
 from repro.stream.simulator import DispatchSimulator, StreamConfig
-from tests.conftest import line_instance
 
 
 class TestFaultPlan:
@@ -84,11 +81,11 @@ class TestFaultPlan:
         ]
 
     def test_sites_and_kinds_are_independent_draws(self):
-        plan = FaultPlan(seed=0, rates={"queue_stall": 0.5, "snapshot_corrupt": 0.5})
+        plan = FaultPlan(seed=0, rates={"queue_stall": 0.5, "worker_departure": 0.5})
         consume = [plan.should_fire("queue_stall", (k,), "service.consume") for k in range(64)]
         apply = [plan.should_fire("queue_stall", (k,), "service.apply") for k in range(64)]
         other_kind = [
-            plan.should_fire("snapshot_corrupt", (k,), "service.consume") for k in range(64)
+            plan.should_fire("worker_departure", (k,), "service.consume") for k in range(64)
         ]
         assert consume != apply
         assert consume != other_kind
@@ -99,15 +96,22 @@ class TestFaultPlan:
         assert not any(never.should_fire("queue_stall", (k,)) for k in range(32))
         assert all(always.should_fire("queue_stall", (k,)) for k in range(32))
         # Unrated kinds never fire.
-        assert not always.should_fire("snapshot_corrupt", (0,))
+        assert not always.should_fire("worker_departure", (0,))
 
-    def test_fire_raises_typed_fault(self):
-        plan = FaultPlan(rates={"snapshot_corrupt": 1.0})
-        with pytest.raises(InjectedFault) as err:
-            plan.fire("snapshot_corrupt", key=(1, 2), site="cache.load")
-        assert err.value.kind == "snapshot_corrupt"
-        assert err.value.site == "cache.load"
-        plan.fire("queue_stall")  # unrated: no-op
+    @pytest.mark.parametrize("seed", [-3, "x", 1.5, True])
+    def test_seed_validates(self, seed):
+        # numpy would refuse these only at the first flush's draw.
+        with pytest.raises(ConfigurationError, match="fault-plan seed"):
+            FaultPlan(seed=seed)
+        with pytest.raises(ConfigurationError, match="fault-plan seed"):
+            FaultPlan.resolve({"seed": seed, "rates": {"worker_departure": 0.5}})
+
+    def test_retired_snapshot_kind_is_rejected(self, monkeypatch):
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            FaultPlan(rates={"snapshot_corrupt": 0.5})
+        monkeypatch.setenv("REPRO_FAULTS", '{"rates": {"snapshot_corrupt": 0.5}}')
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            plan_from_env()
 
     def test_env_and_explicit_activation(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -261,45 +265,3 @@ class TestDeparturesKnob:
     def test_departures_validate(self):
         with pytest.raises(ConfigurationError):
             self.workload(1.5)
-
-
-class TestSnapshotCorruption:
-    def snapshot(self, tmp_path):
-        instance = line_instance(num_tasks=2, num_workers=3, seed=0)
-        cache = FlushSolverCache()
-        cache.store("fp", UCESolver().solve(instance, seed=0), 1)
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        return path
-
-    def test_bit_flipped_snapshot_starts_cold_with_a_warning(self, tmp_path):
-        path = self.snapshot(tmp_path)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.warns(UserWarning, match="starting cold"):
-            cache = FlushSolverCache.load(path, max_entries=7)
-        assert len(cache) == 0
-        assert cache.max_entries == 7
-
-    def test_strict_load_still_raises(self, tmp_path):
-        path = self.snapshot(tmp_path)
-        path.write_text("{broken")
-        with pytest.raises(Exception):
-            FlushSolverCache.load(path, strict=True)
-
-    def test_missing_snapshot_is_not_demoted(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            FlushSolverCache.load(tmp_path / "nope.json")
-
-    def test_injected_snapshot_corrupt_fault(self, tmp_path):
-        path = self.snapshot(tmp_path)
-        plan = FaultPlan(seed=0, rates={"snapshot_corrupt": 1.0})
-        with fault_injection(plan):
-            with pytest.warns(UserWarning, match="starting cold"):
-                cache = FlushSolverCache.load(path)
-            assert len(cache) == 0
-            with pytest.raises(InjectedFault):
-                FlushSolverCache.load(path, strict=True)
-        # Plan gone: the same snapshot loads fine.
-        assert len(FlushSolverCache.load(path)) == 1

@@ -4,9 +4,10 @@ import pytest
 
 from repro.api.options import SolveOptions
 from repro.api.scenario import ScenarioSpec
+from repro.core.budgets import BudgetSampler
 from repro.core.nonprivate import UCESolver
 from repro.errors import ConfigurationError
-from repro.stream.cache import FlushSolverCache, cache_profile, flush_fingerprint
+from repro.stream.cache import FlushSolverCache, cache_profile, flush_inputs_fingerprint
 from repro.stream.runner import StreamRunner
 from tests.conftest import line_instance
 
@@ -18,95 +19,66 @@ class TestFlushSolverCache:
         result = UCESolver().solve(instance, seed=0)
         cache.store("a", result, 1)
         cache.store("b", result, 1)
-        assert cache.lookup("a", instance) is not None  # refreshes "a"
+        assert cache.lookup("a") is not None  # refreshes "a"
         cache.store("c", result, 1)  # evicts "b", the LRU entry
-        assert cache.lookup("b", instance) is None
-        assert cache.lookup("a", instance) is not None
-        assert cache.lookup("c", instance) is not None
+        assert cache.lookup("b") is None
+        assert cache.lookup("a") is not None
+        assert cache.lookup("c") is not None
         assert len(cache) == 2
 
     def test_counters_and_hit_rate(self):
         cache = FlushSolverCache()
         instance = line_instance(num_tasks=2, num_workers=3, seed=0)
         assert cache.hit_rate == 0.0
-        assert cache.lookup("a", instance) is None
+        assert cache.lookup("a") is None
         cache.store("a", UCESolver().solve(instance, seed=0), 1)
-        assert cache.lookup("a", instance) is not None
+        assert cache.lookup("a") is not None
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == 0.5
 
     def test_hits_rebind_to_the_fresh_instance_when_given(self):
         cache = FlushSolverCache()
         instance = line_instance(num_tasks=2, num_workers=3, seed=0)
-        twin = line_instance(num_tasks=2, num_workers=3, seed=0)
         cache.store("a", UCESolver().solve(instance, seed=0), 3)
-        hit, shards = cache.lookup("a", twin)
-        assert hit.instance is twin
-        assert shards == 3
-        assert hit.elapsed_seconds == 0.0
-        # The zero-rebuild path looks up before any instance exists.
-        bare, _ = cache.lookup("a")
+        # The simulator looks up before any instance exists: a hit
+        # carries the stored instance, with no solver time.
+        bare, shards = cache.lookup("a")
         assert bare.instance is instance
+        assert shards == 3
         assert bare.elapsed_seconds == 0.0
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigurationError, match="max_entries"):
             FlushSolverCache(max_entries=0)
 
-    def test_clear_drops_entries_not_counters(self):
-        cache = FlushSolverCache()
-        instance = line_instance(num_tasks=2, num_workers=3, seed=0)
-        cache.store("a", UCESolver().solve(instance, seed=0), 1)
-        cache.lookup("a", instance)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
+
+def inputs_fingerprint(instance, solver, tasks=None):
+    """The simulator's pre-build key for a flush of ``instance``'s records."""
+    return flush_inputs_fingerprint(
+        instance.tasks if tasks is None else tasks,
+        instance.workers,
+        instance.model,
+        BudgetSampler(),
+        cache_profile(solver),
+    )
 
 
 class TestFingerprintContent:
     def test_public_ids_are_part_of_the_key(self):
         instance = line_instance(num_tasks=3, num_workers=4, seed=1)
-        relabeled = type(instance)(
-            tasks=[
-                type(t)(id=t.id + 100, location=t.location, value=t.value)
-                for t in instance.tasks
-            ],
-            workers=instance.workers,
-            model=instance.model,
-            reachable=instance.reachable,
-            pairs=instance.pairs,
-        )
-        profile = cache_profile(UCESolver())
-        assert flush_fingerprint(instance, profile) != flush_fingerprint(
-            relabeled, profile
+        relabeled = [
+            type(t)(id=t.id + 100, location=t.location, value=t.value)
+            for t in instance.tasks
+        ]
+        assert inputs_fingerprint(instance, UCESolver()) != inputs_fingerprint(
+            instance, UCESolver(), tasks=relabeled
         )
 
     def test_method_configuration_is_part_of_the_key(self):
         instance = line_instance(num_tasks=3, num_workers=4, seed=1)
-        a = flush_fingerprint(instance, cache_profile(UCESolver()))
-        b = flush_fingerprint(instance, cache_profile(UCESolver(max_rounds=7)))
-        c = flush_fingerprint(
-            instance, cache_profile(UCESolver(), shard_key="cut(min_pairs=192)")
-        )
-        assert len({a, b, c}) == 3
-
-
-class TestPlannedCutInTheKey:
-    def test_simulator_cache_key_carries_the_cut_config(self):
-        """Two streams differing only in the cut's coalescing floor must
-        never alias: the simulator bakes ``cut(min_pairs=N)`` into the
-        cache profile.  The string is part of persisted snapshot keys, so
-        it must not change while the floor does not."""
-        from repro.stream.simulator import DispatchSimulator, StreamConfig
-
-        simulator = DispatchSimulator(
-            UCESolver(),
-            config=StreamConfig(cache=True),
-        )
-        assert "cut(min_pairs=192)" in simulator._cache_profile.method_key
-        a = cache_profile(UCESolver(), shard_key="cut(min_pairs=192)")
-        b = cache_profile(UCESolver(), shard_key="cut(min_pairs=64)")
-        assert a.method_key != b.method_key
+        a = inputs_fingerprint(instance, UCESolver())
+        b = inputs_fingerprint(instance, UCESolver(max_rounds=7))
+        assert a != b
 
 
 class TestDutyCycleScenario:
